@@ -1,28 +1,28 @@
 """Distributed k-means over the ``embeddings`` table and SemDeDup-style
 semantic deduplication built on it.
 
-Lloyd's iteration re-expressed Ray-Data-first:
+Lloyd's iteration over an input materialized once (one Ray Data
+execution); the rounds are plain Ray tasks over its blocks:
 
-- **init**: the k rows with the smallest ids — a per-batch partial
-  top-k (each batch keeps its k smallest ids) merged on the driver, so
-  init is deterministic and never shuffles or sorts the table;
-- **assign + partial sums**: centroids broadcast once per iteration
-  via ``ray.put`` (k x d, tiny); one ``map_batches`` pass computes the
-  assignment and emits k partial rows per batch
-  (cluster, count, vector sum);
-- **reduce**: the per-batch partials are combined tree-style (a
-  ``repartition`` + per-block combine pass) before a bounded driver
-  merge of at most ``combine_parts * k`` rows — nothing data-sized
-  ever lands on the driver;
+- **init**: one task per block quantizes it, keeps the ppm matrix in
+  the object store and returns the block's k smallest-id rows; the
+  driver merges those, so init is deterministic and never shuffles or
+  sorts the table;
+- **assign + reduce**: per round the centroids go out once via
+  ``ray.put`` (k x d, tiny) and at most ``combine_parts`` tasks run,
+  each over a fixed group of block refs passed as top-level args (so
+  Ray resolves them in the worker); each returns exact int64 (k, d)
+  coordinate sums and (k,) counts, which the driver adds up — nothing
+  data-sized ever lands on the driver;
 - **update**: new centroid = partial-sum / count; empty clusters keep
   their previous centroid.  Fixed ``n_iter`` keeps runs deterministic.
 
 **Fixed-point arithmetic** (the house exact-integer recipe): every
 vector L2-normalizes then quantizes to ppm int64 (``rint(x/|x| *
-1e6)``); assignment is the argmax INTEGER dot product (products <=
-1e12, sums <= d*1e12 — exact in float64 up to d ~ 9000, so BLAS
-summation order cannot move a result; ties break to the lowest
-cluster); the update step sums int64 coordinates exactly, computes the
+1e6)``); assignment is the argmin EXACT INTEGER squared distance
+(``_assign_q``: exact in float64 up to d ~ 2000, so BLAS summation
+order cannot move a result; ties break to the lowest cluster); the
+update step sums int64 coordinates exactly, computes the
 renormalization norm from an arbitrary-precision python-int sum of
 squares, and re-quantizes.  Per-vector squared distances are exact
 int64 in 1e-12 units.  Every step is therefore partition- and
@@ -59,7 +59,7 @@ from .similarity import _matrix, _read_embeddings  # shared decode/read
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
 
-_COMBINE_PARTS = 16  # partial-sum tree fan-in before the driver merge
+_COMBINE_PARTS = 16  # tasks per Lloyd round = fan-in of the driver merge
 _Q = 1_000_000  # ppm fixed-point scale shared with the SQL twin
 
 
@@ -79,11 +79,13 @@ def _quantize_rows(X: np.ndarray, normalize: bool = True) -> np.ndarray:
 def _assign_q(Xq: np.ndarray, Cq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cluster, squared distance in 1e-12 units) per quantized row:
     argmin of the EXACT integer squared L2 distance (|x|^2 - 2x.c +
-    |c|^2, every term an exact integer in float64 — 4*d*Q^2 stays
-    under 2^53 for d <= ~2000 — so BLAS summation order cannot move a
-    result; ties break to the lowest cluster via argmin)."""
+    |c|^2, every term an exact integer in float64 while 4*d*m^2 stays
+    under 2^53, m the largest coordinate magnitude — d <= ~2000 for
+    normalized ppm rows — so BLAS summation order cannot move a result;
+    ties break to the lowest cluster via argmin)."""
     d = Xq.shape[1]
-    assert 4 * d * (_Q * _Q) < 2**53, "distances would leave exact float range"
+    m = max(int(np.abs(Xq).max(initial=0)), int(np.abs(Cq).max(initial=0)))
+    assert 4 * d * m * m < 2**53, "distances would leave exact float range"
     Xf = Xq.astype(np.float64)
     Cf = Cq.astype(np.float64)
     d2 = (
@@ -112,6 +114,31 @@ def _renorm_q(sv: np.ndarray, normalize: bool, cnt: int) -> np.ndarray:
     return np.rint(sv.astype(np.float64) * float(_Q) / nrm).astype(np.int64)
 
 
+@ray.remote(num_returns=2)
+def _quantize_block(block: pa.Table, k: int, id_col: str, vec_col: str, normalize: bool):
+    """One materialized block -> (its ppm int64 matrix, which stays in
+    the object store for the Lloyd rounds; its k smallest-id rows as
+    (ids, matrix), the block's share of the centroid seeds)."""
+    Xq = _quantize_rows(_matrix(block.column(vec_col)), normalize)
+    ids = np.asarray(block.column(id_col), dtype=np.int64)
+    sel = np.argsort(ids, kind="stable")[:k]
+    return Xq, (ids[sel], Xq[sel])
+
+
+@ray.remote
+def _lloyd_partial(Cq: np.ndarray, *blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact int64 (k, d) coordinate sums and (k,) counts of one group
+    of quantized blocks under the nearest-centroid assignment."""
+    sums = np.zeros_like(Cq)
+    cnt = np.zeros(len(Cq), dtype=np.int64)
+    for Xq in blocks:
+        if len(Xq):
+            a, _ = _assign_q(Xq, Cq)
+            np.add.at(sums, a, Xq)
+            cnt += np.bincount(a, minlength=len(Cq))
+    return sums, cnt
+
+
 def kmeans_fit(
     embs: Dataset,
     k: int = 8,
@@ -128,86 +155,31 @@ def kmeans_fit(
     arithmetic is exact-integer (module docstring), so the result is
     independent of partitioning, batch order and retries — and
     SQL-reproducible."""
-    # one object-store materialization instead of n_iter re-reads of
-    # the source — the standard iterative-ML trade (blocks spill when
-    # the table outgrows memory, each iteration streams them back)
-    def quantize(batch: pa.Table) -> pa.Table:
-        X = _matrix(batch.column(vec_col))
-        return pa.table(
-            {
-                id_col: batch.column(id_col),
-                vec_col: pa.array(
-                    list(_quantize_rows(X, normalize)), pa.list_(pa.int64())
-                ),
-            }
-        )
-
-    qds = embs.map_batches(quantize, batch_format="pyarrow").materialize()
-    C = _seed_centroids_q(qds, k, id_col, vec_col)
+    # one execution materializes the input; every later step is plain
+    # tasks over its blocks, whose quantized matrices stay in the
+    # object store (they spill when the table outgrows memory)
+    blocks, seeds = [], []
+    for ref in embs.to_arrow_refs():
+        xq, seed = _quantize_block.remote(ref, k, id_col, vec_col, normalize)
+        blocks.append(xq)
+        seeds.append(seed)
+    seeds = [s for s in ray.get(seeds) if len(s[0])]
+    if not seeds:
+        return np.zeros((0, 0), dtype=np.int64)
+    ids = np.concatenate([s[0] for s in seeds])
+    C = np.concatenate([s[1] for s in seeds])[np.argsort(ids, kind="stable")[:k]]
     k = len(C)  # fewer rows than k: degenerate but well-defined
-    d = C.shape[1]
+    groups = [g for g in np.array_split(np.arange(len(blocks)), combine_parts) if len(g)]
 
     for _ in range(n_iter):
         ref = ray.put(C)
-
-        empty = pa.table(
-            {
-                "cluster": pa.array([], pa.int64()),
-                "cnt": pa.array([], pa.int64()),
-                "vsum": pa.array([], pa.list_(pa.int64())),
-            }
-        )
-
-        def partial(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return empty
-            Xq = np.asarray(batch.column(vec_col).to_pylist(), dtype=np.int64)
-            a, _ = _assign_q(Xq, ray.get(ref))
-            sums = np.zeros((k, d), dtype=np.int64)
-            np.add.at(sums, a, Xq)
-            cnt = np.bincount(a, minlength=k).astype(np.int64)
-            return pa.table(
-                {
-                    "cluster": pa.array(np.arange(k, dtype=np.int64)),
-                    "cnt": pa.array(cnt),
-                    "vsum": pa.array(list(sums), pa.list_(pa.int64())),
-                }
-            )
-
-        def combine(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0:
-                return empty
-            cl = np.asarray(batch.column("cluster"))
-            cnt = np.asarray(batch.column("cnt"))
-            S = np.asarray(batch.column("vsum").to_pylist(), dtype=np.int64)
-            sums = np.zeros((k, d), dtype=np.int64)
-            np.add.at(sums, cl, S)
-            tot = np.zeros(k, dtype=np.int64)
-            np.add.at(tot, cl, cnt)
-            return pa.table(
-                {
-                    "cluster": pa.array(np.arange(k, dtype=np.int64)),
-                    "cnt": pa.array(tot),
-                    "vsum": pa.array(list(sums), pa.list_(pa.int64())),
-                }
-            )
-
-        partials = qds.map_batches(partial, batch_format="pyarrow")
-        # tree-combine only pays when there are many partial blocks —
-        # below that the repartition stage is pure per-iteration
-        # overhead and the driver merge is already tiny
-        if qds.num_blocks() > combine_parts * 4:
-            partials = partials.repartition(combine_parts).map_batches(
-                combine, batch_format="pyarrow", batch_size=None
-            )
-        sums = np.zeros((k, d), dtype=np.int64)
+        sums = np.zeros_like(C)
         tot = np.zeros(k, dtype=np.int64)
-        for b in partials.iter_batches(batch_format="pyarrow"):
-            if b.num_rows == 0:
-                continue
-            cl = np.asarray(b.column("cluster"))
-            np.add.at(sums, cl, np.asarray(b.column("vsum").to_pylist(), dtype=np.int64))
-            np.add.at(tot, cl, np.asarray(b.column("cnt")))
+        for s, cnt in ray.get(
+            [_lloyd_partial.remote(ref, *(blocks[i] for i in g)) for g in groups]
+        ):
+            sums += s
+            tot += cnt
         C = C.copy()
         for c in range(k):
             if tot[c] > 0:
@@ -215,23 +187,6 @@ def kmeans_fit(
                 if nc is not None:
                     C[c] = nc
     return C
-
-
-def _seed_centroids_q(
-    qds: Dataset, k: int, id_col: str, vec_col: str
-) -> np.ndarray:
-    """Init from the ALREADY-QUANTIZED dataset: rows of the k smallest
-    ids (per-batch partial top-k, driver merge — no global sort)."""
-
-    def smallest(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        idx = pc.array_sort_indices(batch.column(id_col))[:k]
-        return batch.select([id_col, vec_col]).take(idx)
-
-    rows = qds.map_batches(smallest, batch_format="pyarrow").take_all()
-    rows.sort(key=lambda r: r[id_col])
-    return np.asarray([r[vec_col] for r in rows[:k]], dtype=np.int64)
 
 
 def kmeans_assign(

@@ -35,8 +35,11 @@ def _read_embeddings(sf_dir: str) -> Dataset:
 
 def _matrix(col: "pa.ChunkedArray") -> np.ndarray:
     """Zero-copy list<float> -> (n, d) float64 matrix (flatten the Arrow
-    list buffer and reshape); falls back to to_pylist when nulls exist."""
+    list buffer and reshape); falls back to to_pylist when nulls exist.
+    A 0-row column gives a (0, 0) matrix."""
     c = col.combine_chunks()
+    if len(c) == 0:
+        return np.zeros((0, 0))
     if c.null_count:
         return np.array(c.to_pylist(), dtype=np.float64)
     return np.asarray(c.flatten(), dtype=np.float64).reshape(len(c), -1)
@@ -366,27 +369,19 @@ def knn_ivf(
 def _kmeans_q(X: np.ndarray, k: int, iters: int = 10) -> np.ndarray:
     """Exact fixed-point local Lloyd for the PQ codebooks (ppm int64
     subvectors): init = first k rows (the sample arrives vec_id
-    ascending), assignment = argmin EXACT integer squared distance
-    (lowest-index ties), update = rint(sum/count) back to ppm ints,
-    empty codes keep their previous centroid.  Deterministic and
-    bit-reproducible in SQL (no RNG, no float accumulation)."""
+    ascending), then ``ops.kmeans``'s exact-integer assignment and
+    plain-mean update (``_renorm_q(normalize=False)``); empty codes
+    keep their previous centroid.  Deterministic and bit-reproducible
+    in SQL (no RNG, no float accumulation)."""
+    from renard_ray.ops.kmeans import _assign_q, _renorm_q
+
     C = X[: min(k, len(X))].astype(np.int64).copy()
-    Xf = X.astype(np.float64)
     for _ in range(iters):
-        Cf = C.astype(np.float64)
-        d2 = (
-            (Xf * Xf).sum(axis=1, keepdims=True)
-            - 2.0 * (Xf @ Cf.T)
-            + (Cf * Cf).sum(axis=1)[None, :]
-        )
-        a = d2.argmin(axis=1)
+        a, _ = _assign_q(X, C)
         for j in range(len(C)):
             mem = a == j
             if mem.any():
-                sv = X[mem].astype(np.int64).sum(axis=0)
-                C[j] = np.rint(
-                    sv.astype(np.float64) / int(mem.sum())
-                ).astype(np.int64)
+                C[j] = _renorm_q(X[mem].sum(axis=0), False, int(mem.sum()))
     return C
 
 
@@ -419,7 +414,7 @@ def knn_pq(
 
     Output: (query_id, neighbor_id, rank, cosine_sim) with cosine_sim
     the PQ ESTIMATE (recall-gated in tests, not exact by design)."""
-    from renard_ray.ops.kmeans import _quantize_rows
+    from renard_ray.ops.kmeans import _assign_q, _quantize_rows
 
     query_ids = query_ids if query_ids is not None else [0, 1, 2, 3, 4]
     emb = _read_embeddings(sf_dir)
@@ -453,17 +448,9 @@ def knn_pq(
         M = _quantize_rows(_matrix(batch.column("embedding")))
         cols = {"vec_id": ids}
         for j, C in enumerate(bks):
-            Xj = M[:, j * sub : (j + 1) * sub].astype(np.float64)
-            Cf = C.astype(np.float64)
-            # (n, n_codes) EXACT integer squared distances, argmin code
-            d2 = (
-                (Xj * Xj).sum(axis=1, keepdims=True)
-                - 2.0 * (Xj @ Cf.T)
-                + (Cf * Cf).sum(axis=1)[None, :]
-            )
-            cols[f"code_{j}"] = pa.array(
-                d2.argmin(1).astype(np.uint8), pa.uint8()
-            )
+            # argmin of the EXACT integer squared distances
+            a, _ = _assign_q(M[:, j * sub : (j + 1) * sub], C)
+            cols[f"code_{j}"] = pa.array(a.astype(np.uint8), pa.uint8())
         return pa.table(cols)
 
     codes = emb.map_batches(encode, batch_format="pyarrow").materialize()

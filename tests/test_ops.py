@@ -1283,6 +1283,185 @@ def test_kmeans_matches_numpy_oracle(ray_session, tmp_path):
     assert (got["sq_dist_q"].to_numpy() == want_d2).all()
 
 
+
+def _blob_table_and_oracle(k=3, n_iter=5):
+    """The oracle test's seeded blobs as an Arrow table, plus the
+    centroids the numpy oracle's exact-integer Lloyd reaches on them."""
+    import math
+
+    rng = np.random.RandomState(3)
+    centers = np.array([[5.0, 0, 0, 0], [0, 5.0, 0, 0], [0, 0, 5.0, 0]])
+    X = np.vstack([c + rng.randn(40, 4) * 0.3 for c in centers])
+    t = pa.table(
+        {
+            "vec_id": pa.array(np.arange(len(X), dtype=np.int64)),
+            "embedding": pa.array(list(X.astype(np.float32)), pa.list_(pa.float32())),
+        }
+    )
+    Xn = X.astype(np.float32).astype(np.float64)
+    norm = np.maximum(np.sqrt(np.add.reduce(Xn * Xn, axis=1)), 1e-12)
+    Xq = np.rint(Xn / norm[:, None] * 1e6).astype(np.int64)
+    C = Xq[:k].copy()
+    for _ in range(n_iter):
+        d2 = ((Xq[:, None, :] - C[None, :, :]).astype(np.float64) ** 2).sum(axis=2)
+        a = np.argmin(d2, axis=1)
+        for j in range(k):
+            if (a == j).any():
+                sv = Xq[a == j].sum(axis=0)
+                ss = int(sum(int(v) * int(v) for v in sv))
+                if ss:
+                    C[j] = np.rint(
+                        sv.astype(np.float64) * 1e6 / math.sqrt(float(ss))
+                    ).astype(np.int64)
+    return t, C
+
+
+def test_kmeans_fit_more_blocks_than_combine_parts(ray_session):
+    """40 blocks over 4 round tasks (10 block refs each) reach the same
+    centroids as the numpy oracle."""
+    import ray as _ray
+
+    from renard_ray.ops.kmeans import kmeans_fit
+
+    t, want = _blob_table_and_oracle()
+    ds = _ray.data.from_arrow(t).repartition(40).materialize()
+    assert ds.num_blocks() == 40
+    got = kmeans_fit(ds, k=3, n_iter=5, combine_parts=4)
+    assert got.dtype == np.int64 and (got == want).all()
+
+
+def test_kmeans_fit_executions_independent_of_rounds(ray_session):
+    """Lloyd rounds run as tasks over object-store blocks: a fit of an
+    unmaterialized input starts one Ray Data execution, to materialize
+    it, at n_iter=2 and at n_iter=10 alike (counted from the
+    ``ray.data`` logger's "Starting execution of Dataset")."""
+    import logging
+
+    import ray as _ray
+
+    from renard_ray.ops.kmeans import kmeans_fit
+
+    class Counter(logging.Handler):
+        def __init__(self):
+            super().__init__(level=logging.INFO)
+            self.n = 0
+
+        def emit(self, record):
+            self.n += record.getMessage().startswith("Starting execution of Dataset")
+
+    t, _ = _blob_table_and_oracle()
+    logger = logging.getLogger("ray.data")
+    level = logger.level
+    logger.setLevel(logging.INFO)
+    counts = {}
+    try:
+        for n_iter in (2, 10):
+            h = Counter()
+            logger.addHandler(h)
+            try:
+                kmeans_fit(_ray.data.from_arrow(t).repartition(5), k=3, n_iter=n_iter)
+            finally:
+                logger.removeHandler(h)
+            counts[n_iter] = h.n
+    finally:
+        logger.setLevel(level)
+    assert counts[2] == counts[10] == 1, counts
+
+
+def test_kmeans_fit_and_lsh_score_tolerate_empty_block(ray_session, monkeypatch):
+    """A 0-row block neither crashes the per-block quantize task nor
+    knn_lsh's score pass, and changes no result.  Ray Data's batcher
+    drops 0-row blocks before a map_batches fn, so score's own 0-row
+    case is pinned on the decode it starts with."""
+    import ray as _ray
+
+    from renard_ray.ops import similarity
+    from renard_ray.ops.kmeans import _quantize_rows, kmeans_fit
+    from renard_ray.ops.similarity import _matrix, knn_lsh
+
+    empty = pa.chunked_array([], pa.list_(pa.float32()))
+    assert _quantize_rows(_matrix(empty)).shape == (0, 0)
+    t, want = _blob_table_and_oracle()
+    with_empty = [t.slice(0, 50), t.slice(0, 0), t.slice(50)]
+    ds = _ray.data.from_arrow(with_empty).materialize()
+    assert [_ray.get(r).num_rows for r in ds.to_arrow_refs()] == [50, 0, 70]
+    assert (kmeans_fit(ds, k=3, n_iter=5) == want).all()
+
+    monkeypatch.setattr(
+        similarity, "_read_embeddings", lambda sf: _ray.data.from_arrow(with_empty)
+    )
+    got = knn_lsh("unused", query_ids=[0, 60], k=3, n_tables=4, n_bits=4).to_pandas()
+    monkeypatch.setattr(
+        similarity, "_read_embeddings", lambda sf: _ray.data.from_arrow(t)
+    )
+    want_lsh = knn_lsh("unused", query_ids=[0, 60], k=3, n_tables=4, n_bits=4).to_pandas()
+    key = ["query_id", "rank"]
+    assert len(got) == 6
+    assert got.sort_values(key).reset_index(drop=True).equals(
+        want_lsh.sort_values(key).reset_index(drop=True)
+    )
+
+
+def test_assign_q_exactness_bound_uses_coordinate_magnitude():
+    """The exact-float bound is 4*d*m^2 < 2^53 with m the largest
+    coordinate magnitude: ppm-normalized rows pass, while unnormalized
+    rows as large as rint(1e3 * 1e6) would leave float64's exact
+    integer range and must trip the assert."""
+    from renard_ray.ops.kmeans import _assign_q, _quantize_rows
+
+    ok = _quantize_rows(np.array([[3.0, 4.0, 0, 0], [0, 0, 1.0, 0]]))
+    a, d2 = _assign_q(ok, ok)
+    assert a.tolist() == [0, 1] and d2.tolist() == [0, 0]
+    big = _quantize_rows(np.array([[1e3, 0, 0, 0], [0, 1e3, 0, 0]]), normalize=False)
+    with pytest.raises(AssertionError, match="exact float range"):
+        _assign_q(big, big[:1])
+    with pytest.raises(AssertionError, match="exact float range"):
+        _assign_q(ok, big)
+
+
+def test_cosine_twins_match_engine_on_float32_boundary(ray_session, tmp_path):
+    """The knn_bruteforce, knn_ivf and embedding_near_dup DuckDB twins
+    compute cosine on DOUBLE[] like the engine's float64 numpy path.
+    On these seeded float32 vectors DuckDB's float32 list kernel rounds
+    query 4's rank-5 cosine to 0.854 where float64 gives 0.8539, so a
+    twin on raw FLOAT[] fails this value-hash compare."""
+    import importlib.util
+    import os
+
+    import duckdb
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+
+    spec = importlib.util.spec_from_file_location(
+        "check_correctness",
+        os.path.join(os.path.dirname(__file__), "..", "tools", "check_correctness.py"),
+    )
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+
+    X = np.random.RandomState(73).rand(40, 16).astype(np.float32)
+    pq.write_table(
+        pa.table(
+            {
+                "vec_id": pa.array(np.arange(40, dtype=np.int64)),
+                "embedding": pa.array(list(X), pa.list_(pa.float32())),
+            }
+        ),
+        f"{tmp_path}/embeddings.parquet",
+    )
+    con = duckdb.connect()
+    con.sql(
+        f"CREATE VIEW embeddings AS SELECT * FROM "
+        f"read_parquet('{tmp_path}/embeddings.parquet')"
+    )
+    qs, oracles = entry.queries(), entry.oracle_sql()
+    for name in ("knn_bruteforce", "knn_ivf", "embedding_near_dup"):
+        got = harness._to_pandas(qs[name](str(tmp_path)))
+        want = con.sql(oracles[name]).df()
+        assert len(got) == len(want) > 0, name
+        assert harness.value_hash(got) == harness.value_hash(want), name
+
 def test_semantic_dedup_planted_pairs(ray_session):
     """SemDeDup drops exactly the planted near-copies (dup_of = the
     lowest-id original), and every reported pair is a true global
