@@ -162,8 +162,10 @@ def link_mentions(
                     break
             if best is None and len(toks) == 1:
                 # hypocorism: nickname of any first token of a canonical
+                # (first tokens are lower-cased by _norm)
+                related = gaz.related_names(toks[0])
                 for c, first in enumerate(first_toks):
-                    if first and gaz.are_related(toks[0], first):
+                    if first in related:
                         best = (c, "hypocorism")
                         break
             if best is not None:

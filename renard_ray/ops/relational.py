@@ -41,14 +41,6 @@ from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
 _HALF_AWAY = "half_towards_infinity"  # = DuckDB ROUND(double) tie-break
 
 
-def _strip_meta(batch: pa.Table) -> pa.Table:
-    """Drop schema metadata (zero-copy).  Pandas-written parquet carries
-    a ``pandas`` metadata blob that makes ``pa.Schema`` UNHASHABLE,
-    which defeats Ray's block-schema deduplication and spams
-    'Failed to hash the schemas' warnings from every shuffle worker."""
-    return batch.replace_schema_metadata(None)
-
-
 def clean_schema(path: str, columns: list[str] | None = None) -> pa.Schema | None:
     """Metadata-free (hashable) read schema for ``read_parquet`` — the
     pandas metadata blob on the file schema otherwise rides into every
@@ -224,8 +216,12 @@ def _lookup_sorted_keys(ref, keys):
         or keys.null_count
     ):
         return None
-    hit = _LOOKUP_KEY_CACHE.get(ref)
-    if hit is None:
+    # a hit moves to the end, so eviction from the front drops the
+    # least recently used ref
+    hit = _LOOKUP_KEY_CACHE.pop(ref, None)
+    if hit is not None:
+        _LOOKUP_KEY_CACHE[ref] = hit
+    else:
         kv = (
             keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
         ).to_numpy(zero_copy_only=False).astype(np.int64)

@@ -588,8 +588,10 @@ def source_distinct_words_hll(sf_dir: str, p: int = 12) -> Dataset:
     )
 
     def finalize(batch: pa.Table) -> pa.Table:
-        # the 2^-r terms are exact powers of two, so the float sum's
-        # partition order can't move the rounded-integer estimate (the
+        # each 2^-r term is an exact power of two, but a float64 sum of
+        # them is exact, and so free of the partition order, only while
+        # the span of the term exponents plus log2(m) fits in the 53-bit
+        # significand; past that, rounding can move the estimate (the
         # SQL twin's sp + (m - nb) decomposition, term for term)
         sp = np.asarray(batch.column("sp"), dtype=np.float64)
         nb = np.asarray(batch.column("nb"), dtype=np.int64)

@@ -803,12 +803,12 @@ def kg_growth(pages: Dataset, cfg: KGConfig | None = None) -> Dataset:
        keeps its source page;
     2. months attach to edge rows via the size-adaptive url lookup
        (broadcast under the row budget, hash join past it);
-    3. endpoints relabel through the canonical-name map — the same
-       driver union-find + broadcast the default ``build_kg`` path
-       uses, bounded by the entity vocabulary (``cfg.broadcast_limit``;
-       past it, raise — the distributed relabel exists in
-       ``relabel_and_aggregate`` and growth over a >limit vocabulary
-       should extend it to carry the month column);
+    3. endpoints relabel through the canonical-name map: under
+       ``cfg.broadcast_limit`` distinct alias pairs, the same driver
+       union-find + broadcast the default ``build_kg`` path uses; past
+       it, the distributed star-CC + two-hash-join relabel of
+       ``relabel_and_aggregate``, with the month column carried as a
+       payload column;
     4. first-seen reduction: ``groupby(subj,pred,obj).min(month)`` for
        edges, endpoint fan-out + ``groupby(node).min(month)`` for
        entities — two shuffles over (key, month) pairs only;
@@ -825,16 +825,7 @@ def kg_growth(pages: Dataset, cfg: KGConfig | None = None) -> Dataset:
     if not cfg.doc.emit_url:
         from dataclasses import replace
 
-        cfg = KGConfig(
-            doc=replace(cfg.doc, emit_url=True),
-            langs=cfg.langs,
-            kernel_mode=cfg.kernel_mode,
-            kernel_concurrency=cfg.kernel_concurrency,
-            kernel_batch_size=cfg.kernel_batch_size,
-            cc_mode=cfg.cc_mode,
-            mapping=cfg.mapping,
-            broadcast_limit=cfg.broadcast_limit,
-        )
+        cfg = replace(cfg, doc=replace(cfg.doc, emit_url=True))
 
     def to_month(batch: pa.Table) -> pa.Table:
         ts = batch.column("warc_ts")

@@ -126,18 +126,21 @@ class HypocorismGazetteer:
     def get_possible_names(self, nickname: str) -> set[str]:
         return self.nickname_to_names.get(nickname.lower(), set())
 
+    def related_names(self, name: str) -> frozenset[str]:
+        """The lower-cased names ``name`` is related to: itself and its
+        nicknames and possible full names, never ''; none for ''."""
+        if name == "":
+            return frozenset()
+        n = name.lower()
+        return frozenset(
+            {n, *self.name_to_nicknames.get(n, ()), *self.nickname_to_names.get(n, ())}
+        ) - {""}
+
     def are_related(self, name1: str, name2: str) -> bool:
         """True iff equal (case-insensitive) or one is a nickname of the
         other.  Empty strings are never related (reference
         ``hypocorisms.py:73-84``)."""
-        if name1 == "" or name2 == "":
-            return False
-        n1, n2 = name1.lower(), name2.lower()
-        return (
-            n1 == n2
-            or n2 in self.name_to_nicknames.get(n1, ())
-            or n2 in self.nickname_to_names.get(n1, ())
-        )
+        return name2.lower() in self.related_names(name1)
 
 
 _SHARED: dict[str, HypocorismGazetteer] = {}

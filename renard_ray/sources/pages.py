@@ -180,49 +180,3 @@ def write_pages_parquet(
         hi = min(n_pages, lo + rows_per_file)
         pq.write_table(table.slice(lo, hi - lo), f"{path}/part-{f:05d}.parquet")
     return path
-
-
-def synth_pages_dataset(n_pages: int, seed: int = 42, with_edge_cases: bool = True):
-    """Distributed synthesis: the same deterministic corpus as
-    ``generate_pages_table`` but generated in parallel Ray tasks (for
-    multi-GB corpora).  Returns a Dataset with the pages schema."""
-    import datetime as dt
-
-    import ray
-
-    def gen(batch) -> "pa.Table":
-        idx = batch["id"].to_pylist() if hasattr(batch, "to_pylist") else list(batch["id"])
-        epoch = dt.datetime(2025, 1, 1)
-        urls, tss, htmls, texts, langs = [], [], [], [], []
-        for i in idx:
-            lang = "eng"
-            if with_edge_cases and i % 97 == 3:
-                text = ""
-            elif with_edge_cases and i % 211 == 7:
-                lang = "fra" if i % 2 else "deu"
-                text = "Ceci est une page dans une autre langue."
-            elif with_edge_cases and i == 11 and n_pages > 11:
-                text = "\n\n".join(
-                    generate_page_text(i * 1000 + k, seed) for k in range(60)
-                )
-            else:
-                text = generate_page_text(i, seed)
-            urls.append(f"https://fixture.test/src{i % 20}/{i}")
-            tss.append(epoch + dt.timedelta(seconds=int(i)))
-            htmls.append(wrap_text_as_html(text, title=f"page {i}"))
-            texts.append(text)
-            langs.append(lang)
-        return pa.Table.from_arrays(
-            [
-                pa.array(urls, pa.string()),
-                pa.array(tss, pa.timestamp("us")),
-                pa.array(htmls, pa.binary()),
-                pa.array(texts, pa.large_string()),
-                pa.array(langs, pa.string()),
-            ],
-            schema=PAGES_SCHEMA,
-        )
-
-    return ray.data.range(n_pages).map_batches(
-        gen, batch_format="pyarrow", batch_size=4096
-    )

@@ -157,7 +157,10 @@ def build_edge_blocks(
     """
     polarities = None
     if cfg.with_sentiment:
-        polarities = sentence_polarities(tok.sentences(text))
+        bounds = tok.sent_bounds
+        polarities = sentence_polarities(
+            [tokens[a:b] for a, b in zip([0, *bounds], bounds)]
+        )
 
     quotes: list[Quote] = []
     speakers: list[Optional[str]] = []

@@ -27,6 +27,14 @@ Key reference semantics preserved:
 The per-document edge dict this module returns is the unit that the
 distributed stage explodes into Arrow rows — all order-sensitive logic
 stays inside one row (one document).
+
+The scans are sorted sweeps: a block's mentions are a ``bisect`` range
+of the sorted mention starts, a quote's mentions of a character a range
+of that character's sorted starts, and each mention's sentence index is
+taken once. A document costs O(mentions + in-block pairs), up to log
+factors, not O(blocks x mentions). The pair set keeps the insertion
+sequence of the nested scan it replaced: its iteration order fixes the
+order, hence the float bits, of each edge's polarity sum.
 """
 
 from __future__ import annotations
@@ -67,14 +75,16 @@ def _co_occurrence_blocks(
     if unit == "tokens":
         return [(m.start - dist, m.end + dist) for _, m in mentions]
     if unit == "sentences":
+        from bisect import bisect_right
+
+        # sentence i spans tokens [bounds[i - 1], bounds[i])
+        bounds = tok.sent_bounds
+        last = len(bounds) - 1
         blocks: set[Span] = set()
-        n_sents = len(tok.sent_bounds)
         for _, m in mentions:
-            s0 = max(0, tok.sent_index_of_token(m.start) - dist)
-            s1 = min(n_sents - 1, tok.sent_index_of_token(m.end - 1) + dist)
-            start_tok = tok.sent_token_range(s0)[0]
-            end_tok = tok.sent_token_range(s1)[1]
-            blocks.add((start_tok, end_tok))
+            s0 = bisect_right(bounds, m.start) - dist
+            s1 = min(last, bisect_right(bounds, m.end - 1) + dist)
+            blocks.add((bounds[s0 - 1] if s0 > 0 else 0, bounds[s1]))
         return sorted(blocks)
     raise ValueError(f"unknown co_occurrences unit: {unit}")
 
@@ -87,40 +97,50 @@ def _pair_edges(
 ) -> EdgeDict:
     """Weights from the 0/1 ordered-pair co-occurrence relation
     (reference ``graph_extraction.py:313-369``)."""
-    # pair set of (i, j) apparition-order indices with i < j
+    from bisect import bisect_left, bisect_right
+    from itertools import combinations
+
+    keys = [k for k, _ in mentions]
+    starts = [m.start for _, m in mentions]
+    ends = [m.end for _, m in mentions]
+    # pair set of (i, j) apparition-order indices with i < j; its
+    # insertion sequence fixes its iteration order, hence the float
+    # bits of the polarity sums below
     pairs: set[tuple[int, int]] = set()
-    n = len(mentions)
     for block_start, block_end in blocks:
-        in_block: list[int] = []
-        for i in range(n):
-            m = mentions[i][1]
-            if m.start >= block_start and m.end <= block_end:
-                in_block.append(i)
-            if m.start > block_end:
-                break
-        for a in range(len(in_block)):
-            for b in range(a + 1, len(in_block)):
-                i, j = in_block[a], in_block[b]
-                if mentions[i][0] == mentions[j][0]:
-                    continue
-                pairs.add((i, j))
+        in_block = [
+            i
+            for i in range(
+                bisect_left(starts, block_start), bisect_right(starts, block_end)
+            )
+            if ends[i] <= block_end
+        ]
+        pairs.update(
+            [ij for ij in combinations(in_block, 2) if keys[ij[0]] != keys[ij[1]]]
+        )
 
     compute_polarity = sentence_polarities is not None and tok is not None
+    if compute_polarity:
+        sent = [tok.sent_index_of_token(s) for s in starts]
+        # (first sentence, last sentence) -> max-by-|.| polarity
+        window_max: dict[tuple[int, int], float] = {}
     edges: EdgeDict = {}
     for i, j in pairs:
-        k1, m1 = mentions[i]
-        k2, m2 = mentions[j]
-        subj, obj = (k1, k2) if k1 <= k2 else (k2, k1)
-        key = (subj, CO_OCCURS, obj)
-        if key not in edges:
-            edges[key] = [0.0, 0.0]
-        edges[key][0] += 1.0
+        k1, k2 = keys[i], keys[j]
+        key = (k1, CO_OCCURS, k2) if k1 <= k2 else (k2, CO_OCCURS, k1)
+        edge = edges.get(key)
+        if edge is None:
+            edge = edges[key] = [0.0, 0.0]
+        edge[0] += 1.0
         if compute_polarity:
-            s1 = tok.sent_index_of_token(m1.start)
-            s2 = tok.sent_index_of_token(m2.start)
-            window = sentence_polarities[s1 : s2 + 1]
-            if window:
-                edges[key][1] += max(window, key=abs)
+            span = (sent[i], sent[j])
+            polarity = window_max.get(span)
+            if polarity is None:
+                # an empty window adds 0.0, which leaves a sum exact
+                window = sentence_polarities[span[0] : span[1] + 1]
+                polarity = max(window, key=abs) if window else 0.0
+                window_max[span] = polarity
+            edge[1] += polarity
     return edges
 
 
@@ -184,12 +204,17 @@ def dynamic_co_occurrence_edges(
         return out
 
     assert dynamic_blocks is not None
+    from bisect import bisect_left
+
+    starts = [m.start for _, m in mentions]
     out = []
     for block_start, block_end in dynamic_blocks:
         block_mentions = [
             (k, m)
-            for k, m in mentions
-            if m.start >= block_start and m.end < block_end
+            for k, m in mentions[
+                bisect_left(starts, block_start) : bisect_left(starts, block_end)
+            ]
+            if m.end < block_end
         ]
         out.append(
             _pair_edges(
@@ -264,17 +289,21 @@ def quote_mention_edges(
     """Directed speaker -> mentioned-character edges for mentions inside
     quotes (``graph_extraction.py:601-632``): one increment per
     (quote, mentioned character)."""
+    from bisect import bisect_left, bisect_right
+
     edges: EdgeDict = {}
     keys = [_char_key(c) for c in characters]
+    # per character: its mention spans sorted by start, and the starts
+    spans = [sorted((m.start, m.end) for m in c.mentions) for c in characters]
+    starts = [[a for a, _ in sp] for sp in spans]
     for quote, speaker in zip(quotes, speakers):
         if speaker is None:
             continue
-        for c, key in zip(characters, keys):
+        for key, sp, st in zip(keys, spans, starts):
             if key == speaker and ignore_self_mention:
                 continue
-            if any(
-                m.start >= quote.start and m.end <= quote.end for m in c.mentions
-            ):
+            lo, hi = bisect_left(st, quote.start), bisect_right(st, quote.end)
+            if any(end <= quote.end for _, end in sp[lo:hi]):
                 ekey = (speaker, MENTIONS, key)
                 if ekey not in edges:
                     edges[ekey] = [0.0, 0.0]

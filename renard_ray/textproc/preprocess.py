@@ -25,12 +25,6 @@ def _rules(substitutions: tuple[tuple[str, str], ...]) -> list:
     return got
 
 
-def apply_substitutions(text: str, substitutions: tuple[tuple[str, str], ...]) -> str:
-    for rx, repl in _rules(substitutions):
-        text = rx.sub(repl, text)
-    return text
-
-
 def substitution_batch(
     batch: pa.Table, substitutions: tuple[tuple[str, str], ...]
 ) -> pa.Table:

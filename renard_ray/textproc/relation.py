@@ -62,25 +62,37 @@ def extract_sentence_relations(
 
     n_sents = len(tok.sent_bounds)
     out: list[list[tuple[str, str, str]]] = [[] for _ in range(n_sents)]
-    if not mention_spans or n_sents == 0:
-        return out
+    from bisect import bisect_right
 
-    for s_i in range(n_sents):
-        lo, hi = tok.sent_token_range(s_i)
-        sent_mentions = [(a, b, k) for a, b, k in mention_spans if a >= lo and b <= hi]
+    # one sweep over the sorted mentions: a mention is in the sentence
+    # holding its first token if it ends inside it, else in none
+    bounds = tok.sent_bounds
+    by_sent: dict[int, list[tuple[int, int, str]]] = {}
+    for a, b, k in mention_spans:
+        s_i = bisect_right(bounds, a)
+        if s_i < n_sents and b <= bounds[s_i]:
+            by_sent.setdefault(s_i, []).append((a, b, k))
+
+    for s_i, sent_mentions in by_sent.items():
         if len(sent_mentions) < 2:
             continue
         rels: list[tuple[str, str, str]] = []
-        for i in range(len(sent_mentions)):
-            a_start, a_end, a_key = sent_mentions[i]
-            for j in range(i + 1, len(sent_mentions)):
-                b_start, b_end, b_key = sent_mentions[j]
+        for i, (_, a_end, a_key) in enumerate(sent_mentions):
+            # relation verbs within MAX_GAP tokens after this mention
+            verbs = [
+                (t, RELATION_VERBS[tokens[t].lower()])
+                for t in range(a_end, min(len(tokens), a_end + MAX_GAP))
+                if tokens[t].lower() in RELATION_VERBS
+            ]
+            if not verbs:
+                continue
+            for b_start, _, b_key in sent_mentions[i + 1 :]:
                 if a_key == b_key:
                     continue
-                # find a relation verb between the two mentions
-                for t in range(a_end, min(b_start, a_end + MAX_GAP)):
-                    lemma = RELATION_VERBS.get(tokens[t].lower())
-                    if lemma is not None and b_start - t <= MAX_GAP:
+                # the first verb between the two mentions, near enough
+                # to the second
+                for t, lemma in verbs:
+                    if t < b_start and b_start - t <= MAX_GAP:
                         rels.append((a_key, lemma, b_key))
                         break
         out[s_i] = rels

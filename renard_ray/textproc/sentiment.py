@@ -20,16 +20,18 @@ _NEGATORS = frozenset({"not", "no", "never", "n't", "neither", "nor"})
 
 def sentence_polarity(sentence_tokens: list[str]) -> float:
     score = 0.0
-    for i, tok in enumerate(sentence_tokens):
+    prev = ""  # the previous token, lower-cased
+    for tok in sentence_tokens:
         low = tok.lower()
         val = 0.0
         if low in POSITIVE_WORDS:
             val = 1.0
         elif low in NEGATIVE_WORDS:
             val = -1.0
-        if val != 0.0 and i > 0 and sentence_tokens[i - 1].lower() in _NEGATORS:
+        if val != 0.0 and prev in _NEGATORS:
             val = -val
         score += val
+        prev = low
     if score == 0.0:
         return 0.0
     # VADER-style normalization: score / sqrt(score^2 + alpha)

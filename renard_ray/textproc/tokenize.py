@@ -130,17 +130,3 @@ def make_char2token(text_len: int, starts: list[int], ends: list[int]) -> list[i
             tok += 1
         c2t[i] = tok
     return c2t
-
-
-def char_block_to_token_block(
-    char_blocks: list[tuple[int, int]], char2token: list[int]
-) -> list[tuple[int, int]]:
-    """Convert character-unit block bounds to token-unit bounds
-    (reference analog: ``renard/utils.py:120-134``)."""
-    out = []
-    n = len(char2token)
-    for cs, ce in char_blocks:
-        ts = char2token[min(cs, n - 1)] if n else 0
-        te = char2token[min(ce, n - 1)] if n else 0
-        out.append((ts, te))
-    return out

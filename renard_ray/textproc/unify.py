@@ -121,21 +121,22 @@ def assign_coreference_mentions(
     char_mentions: list[set[tuple[int, int, str]]] = [
         {(m.start, m.end, m.surface) for m in c.mentions} for c in characters
     ]
+    chars_of: dict[str, list[int]] = {}
+    for i, c in enumerate(characters):
+        for n in c.names:
+            chars_of.setdefault(n, []).append(i)
     for chain in corefs:
-        if not characters:
-            break
-        chain_mentions = [
-            Mention(s, e, " ".join(tokens[s:e])) for s, e in chain
-        ]
-        best_i, best_count = 0, -1
-        for i, c in enumerate(characters):
-            count = sum(1 for m in chain_mentions if m.surface in c.names)
-            if count > best_count:
-                best_i, best_count = i, count
-        if best_count == 0:
+        chain_mentions = [(s, e, " ".join(tokens[s:e])) for s, e in chain]
+        counts: dict[int, int] = {}
+        for _, _, surface in chain_mentions:
+            for i in chars_of.get(surface, ()):
+                counts[i] = counts.get(i, 0) + 1
+        if not counts:
             continue
-        for m in chain_mentions:
-            char_mentions[best_i].add((m.start, m.end, m.surface))
+        # ties go to the first character, as in a scan in character order
+        best = max(counts.values())
+        best_i = min(i for i, n in counts.items() if n == best)
+        char_mentions[best_i].update(chain_mentions)
     return [
         Character(
             c.names,
@@ -175,56 +176,47 @@ def _strip_leading_determiner(name: str, lang: str) -> str:
     return name
 
 
-def _names_related_after_title_removal(
-    name1: str, name2: str, lang: str, gaz: HypocorismGazetteer
-) -> bool:
-    """``character_unification.py:380-396``."""
-    raw1 = parse_name(name1, lang).without_title
-    raw2 = parse_name(name2, lang).without_title
-    if raw1 == "" or raw2 == "":
-        return False
-    return raw1.lower() == raw2.lower() or gaz.are_related(raw1, raw2)
-
-
-def _names_in_same_coref(
-    name1: str, name2: str, corefs: list[list[Span]], tokens: list[str]
-) -> bool:
-    """``character_unification.py:398-409``: every chain containing one
-    must contain the other, and at least one chain contains both."""
-    once_together = False
-    for chain in corefs:
-        surfs = {" ".join(tokens[s:e]) for s, e in chain}
-        in1, in2 = name1 in surfs, name2 in surfs
-        if in1 != in2:
-            return False
-        if in1 and in2:
-            once_together = True
-    return once_together
-
-
-def _infer_name_gender(
-    name: str,
-    corefs: list[list[Span]] | None,
-    tokens: list[str],
-    lang: str,
-) -> Gender:
-    """``character_unification.py:411-452``: title first, else majority
-    of gendered pronouns across coref chains containing the name."""
-    g = Gender(title_gender(parse_name(name, lang).title, lang))
-    if g != Gender.UNKNOWN:
-        return g
-    if corefs is None:
-        return Gender.UNKNOWN
-    male = female = 0
-    for chain in corefs:
-        surfs = {" ".join(tokens[s:e]) for s, e in chain}
-        if name not in surfs:
-            continue
-        for surf in surfs:
+def _coref_index(
+    corefs: list[list[Span]], tokens: list[str], lang: str
+) -> tuple[dict[str, list[int]], list[tuple[int, int]]]:
+    """Once per document: surface -> indices of the coref chains whose
+    surface set holds it, ascending, and each chain's (male, female)
+    pronoun surface counts. Two names are in the same chains
+    (``character_unification.py:398-409``: every chain containing one
+    contains the other, and at least one contains both) iff both have
+    the same non-empty index list."""
+    chains_of: dict[str, list[int]] = {}
+    pronouns: list[tuple[int, int]] = []
+    for ci, chain in enumerate(corefs):
+        male = female = 0
+        for surf in {" ".join(tokens[s:e]) for s, e in chain}:
+            chains_of.setdefault(surf, []).append(ci)
             if is_male_pronoun(surf, lang):
                 male += 1
             elif is_female_pronoun(surf, lang):
                 female += 1
+        pronouns.append((male, female))
+    return chains_of, pronouns
+
+
+def _infer_name_gender(
+    name: str,
+    chains_of: dict[str, list[int]] | None,
+    chain_pronouns: list[tuple[int, int]],
+    lang: str,
+) -> Gender:
+    """``character_unification.py:411-452``: title first, else majority
+    of gendered pronouns across coref chains containing the name;
+    ``chain_pronouns[i]`` = (male, female) pronoun surfaces of chain i."""
+    g = Gender(title_gender(parse_name(name, lang).title, lang))
+    if g != Gender.UNKNOWN:
+        return g
+    if chains_of is None:
+        return Gender.UNKNOWN
+    male = female = 0
+    for ci in chains_of.get(name, ()):
+        male += chain_pronouns[ci][0]
+        female += chain_pronouns[ci][1]
     if male == female:
         return Gender.UNKNOWN
     return Gender.MALE if male > female else Gender.FEMALE
@@ -269,40 +261,58 @@ def graph_rules_unify(
     G: nx.Graph = nx.Graph()
     G.add_nodes_from(names)
 
-    parsed = {n: parse_name(prep(n), lang) for n in names}
+    # per-name forms, once per document: prepped and title-free (the
+    # reference's title-removal reformat, ``character_unification.py:380-396``),
+    # each lower-cased and with its ``gaz.related_names``, and lower-cased
+    # first / last
+    prepped = {n: prep(n) for n in names}
+    parsed = {n: parse_name(prepped[n], lang) for n in names}
+    forms = {n: (prepped[n], parsed[n].without_title) for n in names}
+    lowered = {n: (p.lower(), u.lower()) for n, (p, u) in forms.items()}
+    related = {
+        n: (gaz.related_names(p), gaz.related_names(u)) for n, (p, u) in forms.items()
+    }
+    first = {n: parsed[n].first.lower() for n in names}
+    last = {n: parsed[n].last.lower() for n in names}
+
+    chains_of, chain_pronouns = (
+        _coref_index(corefs, tokens, lang) if corefs is not None else (None, [])
+    )
 
     # positive rules (``character_unification.py:242-282``)
     for n1, n2 in combinations(names, 2):
-        p1, p2 = prep(n1), prep(n2)
-        if gaz.are_related(p1, p2):
+        # hypocorism, then title removal: ``gaz.are_related`` on the
+        # prepped, then on the title-free forms
+        (p1, u1), (p2, u2) = related[n1], lowered[n2]
+        if p2 in p1 or u2 in u1:
             G.add_edge(n1, n2)
             continue
-        if _names_related_after_title_removal(p1, p2, lang, gaz):
+        if last[n1] and last[n1] == last[n2]:
             G.add_edge(n1, n2)
             continue
-        h1, h2 = parsed[n1], parsed[n2]
-        if h1.last and h1.last.lower() == h2.last.lower():
+        if first[n1] and first[n1] == first[n2]:
             G.add_edge(n1, n2)
             continue
-        if h1.first and h1.first.lower() == h2.first.lower():
-            G.add_edge(n1, n2)
-            continue
-        if corefs is not None and link_corefs_mentions:
-            if _names_in_same_coref(n1, n2, corefs, tokens):
+        if chains_of is not None and link_corefs_mentions:
+            if chains_of.get(n1) and chains_of.get(n1) == chains_of.get(n2):
                 G.add_edge(n1, n2)
 
-    genders = {n: _infer_name_gender(n, corefs, tokens, lang) for n in names}
+    genders = {
+        n: _infer_name_gender(n, chains_of, chain_pronouns, lang) for n in names
+    }
 
-    # negative rules (``character_unification.py:299-327``)
+    # negative rules (``character_unification.py:299-327``); cuts only
+    # split components, so a pair in two components has no path to cut
+    comp0 = {n: ci for ci, comp in enumerate(nx.connected_components(G)) for n in comp}
     for n1, n2 in combinations(names, 2):
-        h1, h2 = parsed[n1], parsed[n2]
+        if comp0[n1] != comp0[n2]:
+            continue
         if (
-            h1.last
-            and h2.last
-            and h1.first
-            and h2.first
-            and h1.last.lower() == h2.last.lower()
-            and h1.first.lower() != h2.first.lower()
+            last[n1]
+            and first[n1]
+            and first[n2]
+            and last[n1] == last[n2]
+            and first[n1] != first[n2]
         ):
             _cut_shortest_paths(G, n1, n2)
             continue
@@ -312,18 +322,18 @@ def graph_rules_unify(
 
     # components -> characters with majority gender
     # (``character_unification.py:330-342``)
+    comps = sorted(nx.connected_components(G), key=lambda c: sorted(c))
+    comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
+    comp_mentions: list[list[Mention]] = [[] for _ in comps]
+    for m in mentions:
+        if m.surface in comp_of:
+            comp_mentions[comp_of[m.surface]].append(m)
     characters: list[Character] = []
-    for comp in sorted(nx.connected_components(G), key=lambda c: sorted(c)):
+    for comp, comp_ms in zip(comps, comp_mentions):
         comp_names = sorted(comp)
         counts = Counter(genders[n] for n in comp_names)
         gender = max(counts, key=lambda g: (counts[g], -int(g)))
-        characters.append(
-            Character(
-                frozenset(comp_names),
-                [m for m in mentions if m.surface in comp],
-                gender,
-            )
-        )
+        characters.append(Character(frozenset(comp_names), comp_ms, gender))
 
     if corefs is not None:
         characters = assign_coreference_mentions(characters, corefs, tokens)
@@ -335,15 +345,3 @@ def graph_rules_unify(
         if sum(1 for m in c.mentions if m.surface in c.names) >= min_appearances
     ]
     return characters
-
-
-def alias_edges(characters: list[Character]) -> list[tuple[str, str]]:
-    """Intra-document alias links, for the cross-document
-    canonicalization shuffle: consecutive pairs of each character's
-    sorted name set (enough to reconstruct connectivity globally)."""
-    edges = []
-    for c in characters:
-        ns = sorted(c.names)
-        for a, b in zip(ns, ns[1:]):
-            edges.append((a, b))
-    return edges

@@ -10096,6 +10096,23 @@ def test_registry_dict_literals_have_no_duplicate_keys():
     )
 
 
+def test_lookup_key_cache_evicts_least_recently_used():
+    """No Ray needed: with 8 refs cached, a hit on the first makes the
+    second the least recently used, so the 9th ref evicts it."""
+    from renard_ray.ops import relational
+
+    relational._LOOKUP_KEY_CACHE.clear()
+    keys = pa.array([3, 1, 2], pa.int64())
+    refs = [f"ref{i}" for i in range(9)]
+    for ref in refs[:8]:
+        relational._lookup_sorted_keys(ref, keys)
+    sorted_keys, order = relational._lookup_sorted_keys(refs[0], keys)
+    assert sorted_keys.tolist() == [1, 2, 3] and order.tolist() == [1, 2, 0]
+    relational._lookup_sorted_keys(refs[8], keys)
+    assert list(relational._LOOKUP_KEY_CACHE) == refs[2:8] + [refs[0], refs[8]]
+    relational._LOOKUP_KEY_CACHE.clear()
+
+
 def test_broadcast_lookup_searchsorted_parity(ray_session):
     """The per-worker sorted-key fast path (searchsorted against the
     cached broadcast side) returns exactly what the index_in path
