@@ -207,7 +207,10 @@ def _lookup_sorted_keys(ref, keys):
     every batch — which dominated fused scan->lookup pipelines (the
     10x trade-edge build spent 19.6s of 23.5s there).  None for
     non-int64-safe or nullable keys (callers keep the index_in path).
-    Bounded LRU keyed on the broadcast ObjectRef."""
+    Bounded LRU keyed on the broadcast ObjectRef's id bytes, never on
+    the ref itself: a worker holding the ref is a borrower, and would
+    keep a finished query's broadcast table in the object store until
+    newer entries evicted it."""
     import numpy as np
 
     if (
@@ -218,16 +221,17 @@ def _lookup_sorted_keys(ref, keys):
         return None
     # a hit moves to the end, so eviction from the front drops the
     # least recently used ref
-    hit = _LOOKUP_KEY_CACHE.pop(ref, None)
+    key = ref.binary()
+    hit = _LOOKUP_KEY_CACHE.pop(key, None)
     if hit is not None:
-        _LOOKUP_KEY_CACHE[ref] = hit
+        _LOOKUP_KEY_CACHE[key] = hit
     else:
         kv = (
             keys.combine_chunks() if isinstance(keys, pa.ChunkedArray) else keys
         ).to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.argsort(kv, kind="stable").astype(np.int64)
         hit = (kv[order], order)
-        _LOOKUP_KEY_CACHE[ref] = hit
+        _LOOKUP_KEY_CACHE[key] = hit
         while len(_LOOKUP_KEY_CACHE) > 8:
             _LOOKUP_KEY_CACHE.pop(next(iter(_LOOKUP_KEY_CACHE)))
     return hit

@@ -22,6 +22,8 @@ unless forced.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import pyarrow as pa
 
 import ray
@@ -53,8 +55,10 @@ def _distinct_edges(edges: Dataset, u: str = "u", v: str = "v") -> Dataset:
     )
 
 
-def _driver_cc(edges: Dataset) -> dict[str, str]:
-    """Union-find over the distinct edge list pulled to the driver."""
+def union_find(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """Driver union-find: every node of a non-self-loop pair -> its
+    component's label, the component's lexicographic minimum (whatever
+    order the pairs come in)."""
     parent: dict[str, str] = {}
 
     def find(x: str) -> str:
@@ -65,15 +69,22 @@ def _driver_cc(edges: Dataset) -> dict[str, str]:
             parent[x], x = root, parent[x]
         return root
 
-    for batch in edges.iter_batches(batch_format="pyarrow", batch_size=65536):
-        for a, b in zip(batch.column("u").to_pylist(), batch.column("v").to_pylist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                # label = lexicographic min, deterministic
-                lo, hi = (ra, rb) if ra < rb else (rb, ra)
-                parent[hi] = lo
-                parent.setdefault(lo, lo)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            lo, hi = (ra, rb) if ra < rb else (rb, ra)
+            parent[hi] = lo
+            parent.setdefault(lo, lo)
     return {x: find(x) for x in list(parent)}
+
+
+def _driver_cc(edges: Dataset) -> dict[str, str]:
+    """Union-find over the distinct edge list pulled to the driver."""
+    return union_find(
+        pair
+        for batch in edges.iter_batches(batch_format="pyarrow", batch_size=65536)
+        for pair in zip(batch.column("u").to_pylist(), batch.column("v").to_pylist())
+    )
 
 
 def _star_round(edges: Dataset, large: bool, nparts: int = 2) -> Dataset:

@@ -10,12 +10,17 @@ Design
 ------
 The pages input is split into ``n_shards`` deterministic shards (hash
 of url ranges is not needed — the input file list is the natural
-lineage unit).  Each shard runs the doc-kernel stage independently and
-writes ``stage_rows`` Parquet under ``<ckpt>/stage_rows/shard=<i>/``
-plus a ``manifest-<i>.json`` with lineage (input files, row counts,
-config fingerprint, wall time).  A resumed run skips every shard whose
-manifest matches the current config fingerprint, then the (cheap,
-global) canonicalization + aggregation re-runs over all shard outputs.
+lineage unit).  Each shard runs the doc-kernel stage independently —
+one Ray Data execution, materialized — then one Ray task per
+materialized block writes it as ``part-<j>.parquet`` under
+``<ckpt>/stage_rows/shard=<i>/`` and returns its row count and summed
+``METRIC`` rows, from which the driver builds ``manifest-<i>.json``:
+lineage (input files, row counts, config fingerprint, wall time) plus
+the shard's counters (docs, truncated, text_mismatch).  A resumed run
+skips every shard whose manifest matches the current config
+fingerprint, then the (cheap, global) canonicalization + aggregation
+re-runs over all shard outputs, read by one task per file — no further
+Ray Data execution on the driver canonicalization path.
 
 This makes the expensive stage (NLP kernel over raw text — >95% of
 compute) resumable at shard granularity while keeping the cheap wide
@@ -30,12 +35,15 @@ import os
 import time
 from dataclasses import asdict
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
 from ray.data import Dataset
 
 from renard_ray.pipelines.kg import KGConfig, pages_to_stage_rows, relabel_and_aggregate
+from renard_ray.textproc.document import METRIC
 
 
 def _config_fingerprint(cfg: KGConfig) -> str:
@@ -92,24 +100,26 @@ def run_kg_checkpointed(
                 report["shards_skipped"] += 1
                 continue
         t0 = time.time()
-        pages = ray.data.read_parquet(shard_files)
-        rows = pages_to_stage_rows(pages, cfg)
-        os.makedirs(out_dir, exist_ok=True)
         # clear partial outputs from a killed attempt, then write
+        os.makedirs(out_dir, exist_ok=True)
         for old in os.listdir(out_dir):
             os.remove(f"{out_dir}/{old}")
-        rows.write_parquet(out_dir)
-        n_rows = sum(
-            pq.read_metadata(f"{out_dir}/{f}").num_rows for f in os.listdir(out_dir)
+        rows = pages_to_stage_rows(ray.data.read_parquet(shard_files), cfg).materialize()
+        written = ray.get(
+            [
+                _write_shard_block.remote(r, f"{out_dir}/part-{j:05d}.parquet")
+                for j, r in enumerate(rows.to_arrow_refs())
+            ]
         )
-        from renard_ray.pipelines.kg import collect_metrics
-
-        metrics = collect_metrics(ray.data.read_parquet(out_dir))
+        metrics: dict[str, float] = {}
+        for _, block_metrics in written:
+            for name, val in block_metrics.items():
+                metrics[name] = metrics.get(name, 0.0) + val
         manifest = {
             "shard": i,
             "config_fp": fp,
             "input_files": shard_files,
-            "n_edge_rows": n_rows,
+            "n_edge_rows": sum(n for n, _ in written),
             "metrics": metrics,
             "wall_sec": round(time.time() - t0, 3),
             "complete": True,
@@ -129,12 +139,38 @@ def run_kg_checkpointed(
     for i in range(len(shards)):
         d = f"{ckpt_dir}/stage_rows/shard={i}"
         if os.path.isdir(d):
-            out_files += [
-                f"{d}/{f}" for f in sorted(os.listdir(d)) if f.endswith(".parquet")
-            ]
-    stage_rows = ray.data.read_parquet(out_files)
-    triples = relabel_and_aggregate(stage_rows, cfg)
+            out_files += _dir_parquet_files(d)
+    triples = relabel_and_aggregate(_read_stage_rows(out_files), cfg)
     return triples, report
+
+
+@ray.remote
+def _write_shard_block(block: pa.Table, path: str) -> tuple[int, dict[str, float]]:
+    """One stage-row block -> one Parquet file at ``path``; returns its
+    row count and the sums of its ``METRIC`` rows (name -> value), the
+    shard manifest's counters.  A block without rows writes nothing."""
+    if not block.num_rows:
+        return 0, {}
+    pq.write_table(block, path)
+    sums = (
+        block.filter(pc.equal(block.column("pred"), METRIC))
+        .group_by(["subj"])
+        .aggregate([("weight", "sum")])
+    )
+    return block.num_rows, dict(
+        zip(sums.column("subj").to_pylist(), sums.column("weight_sum").to_pylist())
+    )
+
+
+@ray.remote
+def _read_stage_file(path: str) -> pa.Table:
+    return pq.read_table(path)
+
+
+def _read_stage_rows(files: list[str]) -> Dataset:
+    """Checkpointed stage rows as a Dataset over one read task per file
+    (no Ray Data execution)."""
+    return ray.data.from_arrow_refs([_read_stage_file.remote(f) for f in files])
 
 
 def _dir_parquet_files(d: str) -> list[str]:
@@ -238,6 +274,5 @@ def run_kg_checkpointed_granular(
             prev_out = _dir_parquet_files(out_dir)
         edge_files += prev_out or []
 
-    stage_rows = ray.data.read_parquet(edge_files)
-    triples = relabel_and_aggregate(stage_rows, cfg)
+    triples = relabel_and_aggregate(_read_stage_rows(edge_files), cfg)
     return triples, report

@@ -46,14 +46,13 @@ import json
 import os
 import shutil
 import time
-import zlib
 
 import pyarrow as pa
 
 import ray
 from ray.data import Dataset
 
-from renard_ray.pipelines.kg import KGConfig, build_kg
+from renard_ray.pipelines.kg import KGConfig, bucket_of, build_kg
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
 
@@ -62,18 +61,10 @@ TRIPLE_KEYS = ["subj", "pred", "obj", "block_id"]
 TRIPLE_VALS = ["weight", "polarity"]
 
 
-def bucket_of(subj: str, num_buckets: int) -> int:
-    """The sink's bucket function (shared with ``kg.write_graph``)."""
-    return zlib.crc32(subj.encode()) % num_buckets
-
-
 def _add_bucket(batch: pa.Table, *, num_buckets: int) -> pa.Table:
-    buckets = [
-        bucket_of(s, num_buckets) for s in batch.column("subj").to_pylist()
-    ]
     if "bucket" in batch.column_names:
         batch = batch.drop_columns(["bucket"])
-    return batch.append_column("bucket", pa.array(buckets, pa.int32()))
+    return batch.append_column("bucket", bucket_of(batch.column("subj"), num_buckets))
 
 
 def _merge(ds: Dataset) -> Dataset:

@@ -7,6 +7,14 @@ links + global most-frequent-name selection) -> relabel triples ->
 global ``groupby([subj,pred,obj]).sum(weight)`` -> partitioned Parquet
 edge list.
 
+The kernel's materialize is the only Ray Data execution of a build on
+the driver canonicalization path: the alias summary, the relabel and
+the sink are plain Ray tasks over the materialized blocks'
+``to_arrow_refs()``, and the aggregate is ``ops.hashagg``'s task
+exchange over the relabel tasks' outputs (the mechanism of
+``ops.kmeans``).  A Ray Data execution costs 0.10-0.17 CPU s of fixed
+overhead, a Ray task about 0.006 s (2 logical CPUs on a 1-vCPU host).
+
 Reference parity: per-document semantics are exactly
 ``renard_ray.textproc.document.process_document`` (shared with the
 golden oracle); canonicalization is the cross-document extension the
@@ -25,9 +33,9 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from renard_ray.stages.doc_stages import DocKernel, extract_text_batch
+from renard_ray.stages.doc_stages import EDGES_SCHEMA, DocKernel, extract_text_batch
 from renard_ray.textproc.document import ALIAS_OF, METRIC, NAME_COUNT, DocConfig
-from renard_ray.pipelines.cc import connected_components
+from renard_ray.pipelines.cc import connected_components, union_find
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
 
@@ -41,7 +49,9 @@ def _partial_agg(t: pa.Table) -> pa.Table:
     duplication is huge (hub entities), so this collapses the shuffle
     input from O(doc-pairs) rows to near the distinct-triple count."""
     if t.num_rows == 0:
-        return t
+        # same column order as the grouped output: blocks of one
+        # Dataset must agree on their schema
+        return t.select(["subj", "pred", "obj", "block_id", "weight", "polarity"])
     g = t.group_by(["subj", "pred", "obj", "block_id"]).aggregate(
         [("weight", "sum"), ("polarity", "sum")]
     )
@@ -394,78 +404,62 @@ def pages_to_stage_rows(pages: Dataset, cfg: KGConfig) -> Dataset:
     )
 
 
+def _stage_block(block: pa.Table) -> pa.Table:
+    """A stage-row block with its columns: a kernel batch that kept no
+    page comes back as a 0-row, 0-column block."""
+    return block if block.num_columns else EDGES_SCHEMA.empty_table()
+
+
+@ray.remote
+def _alias_summary_block(
+    batch: pa.Table,
+) -> tuple[set[tuple[str, str]], dict[str, float]]:
+    """One stage-row block -> its distinct alias pairs, each as (lower,
+    higher) with self-pairs dropped, and its per-name named-mention
+    counts."""
+    batch = _stage_block(batch)
+    pred = batch.column("pred")
+    alias = batch.filter(pc.equal(pred, ALIAS_OF))
+    pairs = {
+        (a, b) if a < b else (b, a)
+        for a, b in zip(alias.column("subj").to_pylist(), alias.column("obj").to_pylist())
+        if a != b
+    }
+    counts = (
+        batch.filter(pc.equal(pred, NAME_COUNT))
+        .group_by(["subj"])
+        .aggregate([("weight", "sum")])
+    )
+    return pairs, dict(
+        zip(counts.column("subj").to_pylist(), counts.column("weight_sum").to_pylist())
+    )
+
+
 def _driver_alias_summary(
     stage_rows: Dataset, pair_limit: int | None = None
 ) -> tuple[set[tuple[str, str]] | None, dict[str, float]]:
     """One shuffle-free pass extracting BOTH the distinct alias-pair set
-    and the per-name named-mention counts, combined per batch and merged
-    on the driver.  The driver-merged data is the distinct-name scale
-    (bounded by entity vocabulary, not corpus size); the distributed CC
-    path takes over past ``broadcast_limit``.
+    and the per-name named-mention counts: one task per stage-row
+    block, merged on the driver as the tasks finish.  The driver-merged
+    data is the distinct-name scale (bounded by entity vocabulary, not
+    corpus size); the distributed CC path takes over past
+    ``broadcast_limit``.
 
     ``pair_limit``: the probe's own memory guard.  The moment the merged
-    distinct-pair set exceeds it, the stream is abandoned and ``(None,
+    distinct-pair set exceeds it, the merge is abandoned and ``(None,
     partial_counts)`` is returned — the caller must take the distributed
     path.  Without this bail-out, deciding *whether* to broadcast would
     itself materialize the full vocabulary on the driver, OOM-ing at
     exactly the scale the distributed fallback exists for."""
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        pred = batch.column("pred")
-        is_alias = pc.equal(pred, pa.scalar(ALIAS_OF))
-        is_count = pc.equal(pred, pa.scalar(NAME_COUNT))
-        alias_t = batch.filter(is_alias)
-        pairs = (
-            alias_t.select(["subj", "obj"])
-            .group_by(["subj", "obj"])
-            .aggregate([])
-            if alias_t.num_rows
-            else alias_t.select(["subj", "obj"])
-        )
-        count_t = batch.filter(is_count)
-        counts = (
-            count_t.select(["subj", "weight"])
-            .group_by(["subj"])
-            .aggregate([("weight", "sum")])
-            if count_t.num_rows
-            else pa.table({"subj": pa.array([], pa.string()), "weight_sum": pa.array([], pa.float64())})
-        )
-        n_p, n_c = pairs.num_rows, counts.num_rows
-        return pa.table(
-            {
-                "kind": pa.array(["a"] * n_p + ["c"] * n_c, pa.string()),
-                "k1": pa.concat_arrays(
-                    [pairs.column("subj").combine_chunks(), counts.column("subj").combine_chunks()]
-                ),
-                "k2": pa.concat_arrays(
-                    [
-                        pairs.column("obj").combine_chunks(),
-                        pa.array([""] * n_c, pa.string()),
-                    ]
-                ),
-                "w": pa.concat_arrays(
-                    [
-                        pa.array([0.0] * n_p, pa.float64()),
-                        pc.cast(counts.column("weight_sum").combine_chunks(), pa.float64()),
-                    ]
-                ),
-            }
-        )
-
     pairs: set[tuple[str, str]] = set()
     counts: dict[str, float] = {}
-    summary = stage_rows.map_batches(summarize, batch_format="pyarrow", batch_size=None)
-    for batch in summary.iter_batches(batch_format="pyarrow", batch_size=None):
-        kinds = batch.column("kind").to_pylist()
-        k1 = batch.column("k1").to_pylist()
-        k2 = batch.column("k2").to_pylist()
-        w = batch.column("w").to_pylist()
-        for kind, a, b, wt in zip(kinds, k1, k2, w):
-            if kind == "a":
-                if a != b:
-                    pairs.add((a, b) if a < b else (b, a))
-            else:
-                counts[a] = counts.get(a, 0.0) + wt
+    pending = [_alias_summary_block.remote(r) for r in stage_rows.to_arrow_refs()]
+    while pending:
+        done, pending = ray.wait(pending, num_returns=1)
+        block_pairs, block_counts = ray.get(done[0])
+        pairs |= block_pairs
+        for name, cnt in block_counts.items():
+            counts[name] = counts.get(name, 0.0) + cnt
         if pair_limit is not None and len(pairs) > pair_limit:
             return None, counts
     return pairs, counts
@@ -476,32 +470,16 @@ def _driver_cc_and_names(
 ) -> dict[str, str]:
     """Union-find + global most-frequent-name selection (driver path).
     Same semantics as ``oracle.golden`` (shared tie-break rule)."""
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != x:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in sorted(pairs):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            lo, hi = (ra, rb) if ra < rb else (rb, ra)
-            parent[hi] = lo
-            parent.setdefault(lo, lo)
-
+    labels = union_find(pairs)
     best: dict[str, tuple] = {}
     for name, cnt in counts.items():
-        label = find(name) if name in parent else name
+        label = labels.get(name, name)
         key = (cnt, len(name), [-ord(c) for c in name])
         if label not in best or key > best[label][0]:
             best[label] = (key, name)
     out: dict[str, str] = {}
-    for name in set(parent) | set(counts):
-        label = find(name) if name in parent else name
+    for name in set(labels) | set(counts):
+        label = labels.get(name, name)
         out[name] = best.get(label, (None, label))[1]
     return out
 
@@ -652,18 +630,59 @@ def _distributed_relabel(
     return step2.map_batches(_apply_obj, batch_format="pyarrow")
 
 
+@ray.remote
+def _relabel_block(batch: pa.Table, canon: tuple[pa.Array, pa.Array]) -> pa.Table:
+    """One stage-row block -> its edge rows with both endpoints mapped
+    through the broadcast (sorted names, canonical names) arrays,
+    undirected predicates normalized, self-loops dropped and the block
+    combined (``_partial_agg``)."""
+    keys, vals = canon
+    batch = _stage_block(batch)
+    not_edge = pa.array([ALIAS_OF, NAME_COUNT, METRIC], pa.string())
+    batch = batch.filter(pc.invert(pc.is_in(batch.column("pred"), value_set=not_edge)))
+
+    def remap(col: pa.ChunkedArray) -> pa.Array:
+        col = col.combine_chunks()
+        mapped = pc.take(vals, pc.index_in(col, value_set=keys))
+        return pc.if_else(pc.is_null(mapped), col, mapped)
+
+    s = remap(batch.column("subj"))
+    o = remap(batch.column("obj"))
+    p = batch.column("pred")
+    # normalize undirected predicates; drop self-loops created by
+    # cross-doc merging (a doc-local pair that became one entity)
+    is_und = pc.is_in(p, value_set=pa.array(UNDIRECTED_PREDS, pa.string()))
+    ns = pc.if_else(is_und, pc.min_element_wise(s, o), s)
+    no = pc.if_else(is_und, pc.max_element_wise(s, o), o)
+    t = pa.table(
+        {
+            "subj": ns,
+            "pred": p,
+            "obj": no,
+            "weight": batch.column("weight"),
+            "polarity": batch.column("polarity"),
+            "block_id": batch.column("block_id"),
+        }
+    ).filter(pc.not_equal(ns, no))
+    return _partial_agg(t)
+
+
 def relabel_and_aggregate(
     stage_rows: Dataset, cfg: KGConfig
 ) -> Dataset:
     """Map edge endpoints through the canonical-name table and run the
     final global triple aggregation.
 
-    Driver path (default, "auto"): one shuffle-free summary pass ->
-    driver union-find over distinct alias pairs -> broadcast
-    name->canonical map.  Distributed path (forced, or when the
-    distinct-name vocabulary exceeds ``broadcast_limit``): large/small-
-    star CC + hash joins — no single machine holds the vocabulary.
+    Driver path (default, "auto"): the stage rows are materialized once
+    (free when they already are); one summary task per block -> driver
+    union-find over distinct alias pairs -> broadcast name->canonical
+    map -> one relabel task per block -> ``hash_aggregate`` over the
+    relabel tasks' outputs.  No Ray Data execution past the
+    materialize.  Distributed path (forced, or when the distinct-name
+    vocabulary exceeds ``broadcast_limit``): large/small-star CC + hash
+    joins — no single machine holds the vocabulary.
     """
+    stage_rows = stage_rows.materialize()
     name2canon: dict[str, str] | None = None
     if cfg.cc_mode in ("auto", "driver"):
         # "auto" probes under the broadcast limit so the probe itself
@@ -674,60 +693,29 @@ def relabel_and_aggregate(
         if pairs is not None:
             name2canon = _driver_cc_and_names(pairs, counts)
 
-    edges = stage_rows.filter(
-        expr=f"pred != {ALIAS_OF!r} and pred != {NAME_COUNT!r} and pred != {METRIC!r}"
-    )
-
     if name2canon is not None:
         # broadcast the map as two parallel arrays so the lookup is a
         # vectorized pyarrow index_in/take, not a per-row dict loop
         names_sorted = sorted(name2canon)
-        lookup_keys = pa.array(names_sorted, pa.string())
-        lookup_vals = pa.array([name2canon[n] for n in names_sorted], pa.string())
-        canon_ref = ray.put((lookup_keys, lookup_vals))
-        undirected = pa.array(list(UNDIRECTED_PREDS), pa.string())
-
-        def relabel(batch: pa.Table) -> pa.Table:
-            keys, vals = ray.get(canon_ref)
-
-            def remap(col: pa.ChunkedArray) -> pa.Array:
-                col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-                idx = pc.index_in(col, value_set=keys)
-                mapped = pc.take(vals, idx)
-                return pc.if_else(pc.is_null(mapped), col, mapped)
-
-            s = remap(batch.column("subj"))
-            o = remap(batch.column("obj"))
-            p = batch.column("pred")
-            # normalize undirected predicates; drop self-loops created by
-            # cross-doc merging (a doc-local pair that became one entity)
-            is_und = pc.is_in(p, value_set=undirected)
-            lo = pc.min_element_wise(s, o)
-            hi = pc.max_element_wise(s, o)
-            ns = pc.if_else(is_und, lo, s)
-            no = pc.if_else(is_und, hi, o)
-            t = pa.table(
-                {
-                    "subj": ns,
-                    "pred": p,
-                    "obj": no,
-                    "weight": batch.column("weight"),
-                    "polarity": batch.column("polarity"),
-                    "block_id": batch.column("block_id"),
-                }
-            ).filter(pc.not_equal(ns, no))
-            return _partial_agg(t)
-
-        relabeled = edges.map_batches(relabel, batch_format="pyarrow", batch_size=None)
+        canon_ref = ray.put(
+            (
+                pa.array(names_sorted, pa.string()),
+                pa.array([name2canon[n] for n in names_sorted], pa.string()),
+            )
+        )
+        relabeled = ray.data.from_arrow_refs(
+            [_relabel_block.remote(r, canon_ref) for r in stage_rows.to_arrow_refs()]
+        )
     else:
         # distributed path: two hash joins against the (node, label) table
         # (scale path when distinct names exceed the broadcast limit)
+        edges = stage_rows.filter(
+            expr=f"pred != {ALIAS_OF!r} and pred != {NAME_COUNT!r} and pred != {METRIC!r}"
+        )
         node_canon, nparts = _distributed_node_canon(stage_rows)
         relabeled = _distributed_relabel(edges, node_canon, nparts)
 
-    from renard_ray.ops.hashagg import hash_aggregate as _hagg_kg2
-
-    return _hagg_kg2(
+    return _hagg_auto(
         relabeled,
         ["subj", "pred", "obj", "block_id"],
         [("weight", "sum", "weight"), ("polarity", "sum", "polarity")],
@@ -737,58 +725,65 @@ def relabel_and_aggregate(
 def build_kg(pages: Dataset, cfg: KGConfig | None = None) -> Dataset:
     """pages -> aggregated canonical triple table.
 
-    The stage-row Dataset is materialized once (checkpoint boundary)
-    because three downstream branches consume it (alias links, name
-    counts, edges) — without this, Ray Data would re-run the NLP kernel
-    per branch.
+    The stage-row Dataset is materialized once — the build's only Ray
+    Data execution on the driver path — because three downstream
+    branches consume it (alias links, name counts, edges).
     """
     cfg = cfg or KGConfig()
-    stage_rows = pages_to_stage_rows(pages, cfg).materialize()
-    return relabel_and_aggregate(stage_rows, cfg)
+    return relabel_and_aggregate(pages_to_stage_rows(pages, cfg), cfg)
+
+
+def bucket_of(subj: pa.ChunkedArray, num_buckets: int) -> pa.Array:
+    """The graph sink's bucket (``bucket=N`` directory) of each subject:
+    crc32 of its UTF-8 bytes modulo ``num_buckets``."""
+    import zlib
+
+    return pa.array(
+        [zlib.crc32(s.encode()) % num_buckets for s in subj.to_pylist()], pa.int32()
+    )
+
+
+@ray.remote
+def _write_graph_block(block: pa.Table, path: str, num_buckets: int, part: int) -> None:
+    """One triple block -> hive ``bucket=N/part-<part>-<i>.parquet``
+    files under ``path``."""
+    import pyarrow.dataset as pads
+
+    if not block.num_rows:
+        return
+    pads.write_dataset(
+        block.append_column("bucket", bucket_of(block.column("subj"), num_buckets)),
+        path,
+        format="parquet",
+        partitioning=["bucket"],
+        partitioning_flavor="hive",
+        basename_template=f"part-{part:05d}-{{i}}.parquet",
+        existing_data_behavior="overwrite_or_ignore",
+        max_partitions=num_buckets,
+    )
 
 
 def write_graph(
     triples: Dataset, path: str, num_buckets: int = 64
 ) -> None:
     """Partitioned Parquet edge-list sink: bucket by hash(subj), one
-    directory per bucket (SURVEY.md §7.3).  Stale ``bucket=N`` dirs from
-    a previous/killed attempt are cleared first so a re-run never
-    double-counts leftover files (resume granularity lives upstream in
-    ``pipelines.checkpoint`` — the sink itself is always rewritten,
-    it's the cheap final stage)."""
+    directory per bucket (SURVEY.md §7.3), one write task per triple
+    block.  Stale ``bucket=N`` dirs from a previous/killed attempt are
+    cleared first so a re-run never double-counts leftover files
+    (resume granularity lives upstream in ``pipelines.checkpoint`` —
+    the sink itself is always rewritten, it's the cheap final stage)."""
     import shutil
 
-    if os.path.isdir(path):
-        for d in os.listdir(path):
-            if d.startswith("bucket="):
-                shutil.rmtree(os.path.join(path, d), ignore_errors=True)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        import zlib
-
-        buckets = [
-            zlib.crc32(s.encode()) % num_buckets
-            for s in batch.column("subj").to_pylist()
+    os.makedirs(path, exist_ok=True)
+    for d in os.listdir(path):
+        if d.startswith("bucket="):
+            shutil.rmtree(os.path.join(path, d), ignore_errors=True)
+    ray.get(
+        [
+            _write_graph_block.remote(r, path, num_buckets, i)
+            for i, r in enumerate(triples.to_arrow_refs())
         ]
-        return batch.append_column("bucket", pa.array(buckets, pa.int32()))
-
-    triples.map_batches(add_bucket, batch_format="pyarrow").write_parquet(
-        path, partition_cols=["bucket"]
     )
-
-
-def collect_metrics(stage_rows: Dataset) -> dict[str, float]:
-    """Aggregate the per-batch metric rows (docs processed, truncation
-    count, per-row text-invariant violations) — per-partition counters
-    the north rule asks to track alongside lineage."""
-    out: dict[str, float] = {}
-    metric_rows = stage_rows.filter(expr=f"pred == {METRIC!r}")
-    for batch in metric_rows.iter_batches(batch_format="pyarrow", batch_size=None):
-        for name, val in zip(
-            batch.column("subj").to_pylist(), batch.column("weight").to_pylist()
-        ):
-            out[name] = out.get(name, 0.0) + val
-    return out
 
 
 def kg_growth(pages: Dataset, cfg: KGConfig | None = None) -> Dataset:

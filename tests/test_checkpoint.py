@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 import shutil
 
@@ -235,3 +236,140 @@ def test_incremental_ingest(ray_session, tmp_path):
     # ingest is sealed in the lineage log
     tokens = {(r["token"], r["phase"]) for r in inc._log_rows(g)}
     assert ("s2", "committed") in tokens and ("s3", "committed") in tokens
+
+
+class _Executions(logging.Handler):
+    """Counts Ray Data executions started while installed (one
+    "Starting execution of Dataset" line of the ``ray.data`` logger per
+    streaming execution)."""
+
+    def __init__(self):
+        super().__init__(level=logging.INFO)
+        self.n = 0
+
+    def emit(self, record):
+        self.n += record.getMessage().startswith("Starting execution of Dataset")
+
+    def __enter__(self):
+        self.logger = logging.getLogger("ray.data")
+        self.level = self.logger.level
+        self.logger.setLevel(logging.INFO)
+        self.logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        self.logger.removeHandler(self)
+        self.logger.setLevel(self.level)
+
+
+def _graph_table(path):
+    import pyarrow.dataset as pads
+
+    return pads.dataset(path, format="parquet", partitioning="hive").to_table()
+
+
+def test_build_and_sink_start_one_execution(ray_session, tmp_path):
+    """build_kg then write_graph on an unmaterialized pages dataset runs
+    the kernel as the only Ray Data execution; the hive-read graph
+    equals the triples, each row under its subject's bucket."""
+    import pyarrow as pa
+
+    from renard_ray.pipelines.kg import bucket_of, build_kg, read_pages, write_graph
+
+    pages_path = str(tmp_path / "pages")
+    graph = str(tmp_path / "graph")
+    write_pages_parquet(pages_path, 60, seed=13, rows_per_file=20)
+    with _Executions() as ex:
+        triples = build_kg(read_pages(pages_path), KGConfig())
+        write_graph(triples, graph, num_buckets=8)
+    assert ex.n == 1
+
+    got = _graph_table(graph)
+    cols = ["subj", "pred", "obj", "block_id", "weight", "polarity"]
+    want = triples.to_pandas()[cols].sort_values(cols[:4]).reset_index(drop=True)
+    assert len(want) > 0
+    assert got.select(cols).to_pandas().sort_values(cols[:4]).reset_index(
+        drop=True
+    ).equals(want)
+    assert got.column("bucket").to_pylist() == bucket_of(
+        got.column("subj"), 8
+    ).to_pylist()
+    assert bucket_of(pa.chunked_array([["Elizabeth"]]), 8).type == pa.int32()
+
+
+def test_checkpoint_update_one_execution_and_manifest_metrics(ray_session, tmp_path):
+    """An update that lands 1 new shard of 3 starts exactly one Ray Data
+    execution (the new shard's kernel), and every manifest's metrics
+    equal the sums of the METRIC rows in its shard's Parquet files."""
+    import pyarrow.parquet as pq
+
+    from renard_ray.pipelines.kg import write_graph
+    from renard_ray.textproc.document import METRIC
+
+    pages_path = str(tmp_path / "pages")
+    ckpt = str(tmp_path / "ckpt")
+    write_pages_parquet(pages_path, 90, seed=17, rows_per_file=30)
+    landing = str(tmp_path / "part-00002.parquet")
+    os.rename(f"{pages_path}/part-00002.parquet", landing)
+    cfg = KGConfig()
+    _, rep = run_kg_checkpointed(pages_path, ckpt, cfg, n_shards=3)
+    assert (rep["shards_run"], rep["shards_skipped"]) == (2, 0)
+
+    shutil.move(landing, pages_path)
+    with _Executions() as ex:
+        triples, rep = run_kg_checkpointed(pages_path, ckpt, cfg, n_shards=3)
+        write_graph(triples, str(tmp_path / "graph"), num_buckets=8)
+    assert ex.n == 1
+    assert (rep["shards_run"], rep["shards_skipped"]) == (1, 2)
+    want = set(oracle_triples(generate_pages_table(90, seed=17), cfg))
+    assert _triples_set(triples) == want
+
+    docs = 0.0
+    for i in range(3):
+        man = json.load(open(f"{ckpt}/manifest-{i:04d}.json"))
+        d = f"{ckpt}/stage_rows/shard={i}"
+        rows = pa_concat([pq.read_table(f"{d}/{f}") for f in sorted(os.listdir(d))])
+        sums: dict = {}
+        for name, pred, w in zip(
+            rows.column("subj").to_pylist(),
+            rows.column("pred").to_pylist(),
+            rows.column("weight").to_pylist(),
+        ):
+            if pred == METRIC:
+                sums[name] = sums.get(name, 0.0) + w
+        assert set(sums) == {"docs", "truncated", "text_mismatch"}
+        assert man["metrics"] == sums
+        assert man["n_edge_rows"] == rows.num_rows
+        docs += sums["docs"]
+    langs = generate_pages_table(90, seed=17).column("lang").to_pylist()
+    assert docs == langs.count("eng")
+
+
+def test_non_eng_corpus_gives_empty_graph(ray_session, tmp_path):
+    """A corpus with no page in the configured languages builds an empty
+    graph, through build_kg + write_graph and through the checkpoint
+    runner alike (the kernel emits no block with rows)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from renard_ray.pipelines.kg import build_kg, write_graph
+
+    pages = generate_pages_table(20, seed=3)
+    pages = pages.set_column(
+        pages.schema.get_field_index("lang"), "lang", pa.array(["fra"] * 20)
+    )
+    pages_path = str(tmp_path / "pages")
+    os.makedirs(pages_path)
+    for j in range(2):
+        pq.write_table(pages.slice(10 * j, 10), f"{pages_path}/part-{j:05d}.parquet")
+
+    triples = build_kg(ray.data.from_arrow(pages), KGConfig())
+    assert triples.count() == 0
+    write_graph(triples, str(tmp_path / "g1"), num_buckets=8)
+    assert _graph_table(str(tmp_path / "g1")).num_rows == 0
+
+    triples, rep = run_kg_checkpointed(pages_path, str(tmp_path / "ckpt"), KGConfig(), n_shards=2)
+    assert rep["shards_run"] == 2 and triples.count() == 0
+    write_graph(triples, str(tmp_path / "g2"), num_buckets=8)
+    assert _graph_table(str(tmp_path / "g2")).num_rows == 0

@@ -10097,19 +10097,29 @@ def test_registry_dict_literals_have_no_duplicate_keys():
 
 
 def test_lookup_key_cache_evicts_least_recently_used():
-    """No Ray needed: with 8 refs cached, a hit on the first makes the
-    second the least recently used, so the 9th ref evicts it."""
+    """No Ray session needed: with 8 refs cached, a hit on the first
+    makes the second the least recently used, so the 9th ref evicts it.
+    The cache is keyed by the refs' id bytes and holds no ObjectRef, so
+    it never pins a broadcast table in the object store."""
+    import ray as _ray
+
     from renard_ray.ops import relational
 
     relational._LOOKUP_KEY_CACHE.clear()
     keys = pa.array([3, 1, 2], pa.int64())
-    refs = [f"ref{i}" for i in range(9)]
+    refs = [_ray.ObjectRef(bytes([i + 1]) * 28) for i in range(9)]
     for ref in refs[:8]:
         relational._lookup_sorted_keys(ref, keys)
     sorted_keys, order = relational._lookup_sorted_keys(refs[0], keys)
     assert sorted_keys.tolist() == [1, 2, 3] and order.tolist() == [1, 2, 0]
     relational._lookup_sorted_keys(refs[8], keys)
-    assert list(relational._LOOKUP_KEY_CACHE) == refs[2:8] + [refs[0], refs[8]]
+    ids = [r.binary() for r in refs]
+    assert list(relational._LOOKUP_KEY_CACHE) == ids[2:8] + [ids[0], ids[8]]
+    assert not any(
+        isinstance(x, _ray.ObjectRef)
+        for item in relational._LOOKUP_KEY_CACHE.items()
+        for x in (item[0], *item[1])
+    )
     relational._LOOKUP_KEY_CACHE.clear()
 
 
