@@ -15,9 +15,13 @@ one Ray Data execution, materialized — then one Ray task per
 materialized block writes it as ``part-<j>.parquet`` under
 ``<ckpt>/stage_rows/shard=<i>/`` and returns its row count and summed
 ``METRIC`` rows, from which the driver builds ``manifest-<i>.json``:
-lineage (input files, row counts, config fingerprint, wall time) plus
-the shard's counters (docs, truncated, text_mismatch).  A resumed run
-skips every shard whose manifest matches the current config
+lineage (input files, ``n_pages`` — the rows of those files, read from
+their Parquet footers — row counts, config fingerprint, wall time) plus
+the shard's counters (docs, truncated, text_mismatch).  The counters
+come from the kernel, which only sees pages in ``cfg.langs``:
+``metrics.docs`` counts those pages, and a shard with none of them
+records ``metrics: {}``; ``n_pages`` counts every page read.  A resumed
+run skips every shard whose manifest matches the current config
 fingerprint, then the (cheap, global) canonicalization + aggregation
 re-runs over all shard outputs, read by one task per file — no further
 Ray Data execution on the driver canonicalization path.
@@ -119,6 +123,7 @@ def run_kg_checkpointed(
             "shard": i,
             "config_fp": fp,
             "input_files": shard_files,
+            "n_pages": sum(pq.ParquetFile(f).metadata.num_rows for f in shard_files),
             "n_edge_rows": sum(n for n, _ in written),
             "metrics": metrics,
             "wall_sec": round(time.time() - t0, 3),

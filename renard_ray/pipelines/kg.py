@@ -1,7 +1,7 @@
 """End-to-end KG-construction pipeline (the flagship, SURVEY.md §3.4).
 
 read pages Parquet -> filter(lang) -> extract/verify text -> fused
-per-doc NLP kernel (actor pool) -> exploded edge/alias rows ->
+per-doc NLP kernel (``map_batches`` tasks) -> exploded edge/alias rows ->
 cross-document alias canonicalization (connected components over alias
 links + global most-frequent-name selection) -> relabel triples ->
 global ``groupby([subj,pred,obj]).sum(weight)`` -> partitioned Parquet
@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from renard_ray.stages.doc_stages import EDGES_SCHEMA, DocKernel, extract_text_batch
+from renard_ray.stages.doc_stages import EDGES_SCHEMA, doc_kernel_batch, extract_text_batch
 from renard_ray.textproc.document import ALIAS_OF, METRIC, NAME_COUNT, DocConfig
 from renard_ray.pipelines.cc import connected_components, union_find
 
@@ -65,14 +65,8 @@ def _partial_agg(t: pa.Table) -> pa.Table:
 class KGConfig:
     doc: DocConfig = field(default_factory=DocConfig)
     langs: tuple[str, ...] = ("eng",)
-    # "tasks" (default): plain map_batches tasks — right for the CPU
-    # rule kernel (no actor warmup, elastic).  "actors": actor pool —
-    # right when the kernel loads model weights.
-    kernel_mode: str = "tasks"
-    kernel_concurrency: int | tuple[int, int] | None = None
     kernel_batch_size: int = 256
     cc_mode: str = "auto"  # driver | distributed | auto
-    mapping: str = "auto"  # broadcast | join | auto
     broadcast_limit: int = 2_000_000  # max distinct names for broadcast path
 
 
@@ -133,7 +127,46 @@ def _row_keys(batch: pa.Table) -> list[str]:
     return out
 
 
-def _dedup_urls_by_join(pages: Dataset, pick_one) -> Dataset:
+def _pick_one(group):
+    """One winner row of a url group: the latest ``warc_ts``, ties
+    broken on a content digest (shuffle order is not stable) — the same
+    rule as the join path's winner key, so both paths agree.
+    ``na_position='first'`` so a NULL warc_ts never beats a real
+    timestamp (matches the broadcast path, which drops null-ts rows
+    whenever the url has any real crawl time)."""
+    g = group.copy()
+    g["_d"] = _content_digests_pd(g)
+    g = g.sort_values(["warc_ts", "_d"], kind="stable", na_position="first")
+    return g.tail(1).drop(columns=["_d"])
+
+
+def _resolve_url_ties(masked: Dataset, ties: set[str]) -> Dataset:
+    """Keep one row per url in ``ties`` (urls that still have several
+    rows after masking) with a per-group ``_pick_one`` over those rows
+    only; every other row passes through."""
+    if not ties:
+        return masked
+    tie_ref = ray.put(pa.array(sorted(ties), pa.string()))
+
+    def split(batch: pa.Table, keep_tie: bool) -> pa.Table:
+        tk = ray.get(tie_ref)
+        hit = pc.is_valid(
+            pc.index_in(batch.column("url").combine_chunks(), value_set=tk)
+        )
+        return batch.filter(hit if keep_tie else pc.invert(hit))
+
+    clean = masked.map_batches(
+        split, fn_kwargs={"keep_tie": False}, batch_format="pyarrow"
+    )
+    resolved = (
+        masked.map_batches(split, fn_kwargs={"keep_tie": True}, batch_format="pyarrow")
+        .groupby("url")
+        .map_groups(_pick_one, batch_format="pandas")
+    )
+    return clean.union(resolved)
+
+
+def _dedup_urls_by_join(pages: Dataset) -> Dataset:
     """Shuffle fallback for dup-url sets too large to broadcast.
 
     The digest pass (md5 over each page's full payload) is the dominant
@@ -143,7 +176,6 @@ def _dedup_urls_by_join(pages: Dataset, pick_one) -> Dataset:
     exchange to be masked.  Residual ties (same url, ts AND digest) are
     byte-identical rows; they are detected with a key-column count and
     resolved per-group on that subset only."""
-    from ray.data.aggregate import Count
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column("wk", pa.array(_row_keys(batch), pa.string()))
@@ -191,26 +223,7 @@ def _dedup_urls_by_join(pages: Dataset, pick_one) -> Dataset:
         .filter(expr="n > 1")
         .take_all()
     }
-    if not ties:
-        return masked
-    tie_ref = ray.put(pa.array(sorted(ties), pa.string()))
-
-    def split(batch: pa.Table, keep_tie: bool) -> pa.Table:
-        tk = ray.get(tie_ref)
-        hit = pc.is_valid(
-            pc.index_in(batch.column("url").combine_chunks(), value_set=tk)
-        )
-        return batch.filter(hit if keep_tie else pc.invert(hit))
-
-    clean = masked.map_batches(
-        split, fn_kwargs={"keep_tie": False}, batch_format="pyarrow"
-    )
-    resolved = (
-        masked.map_batches(split, fn_kwargs={"keep_tie": True}, batch_format="pyarrow")
-        .groupby("url")
-        .map_groups(pick_one, batch_format="pandas")
-    )
-    return clean.union(resolved)
+    return _resolve_url_ties(masked, ties)
 
 
 def dedup_pages_by_url(pages: Dataset, broadcast_limit: int = 2_000_000) -> Dataset:
@@ -241,8 +254,6 @@ def dedup_pages_by_url(pages: Dataset, broadcast_limit: int = 2_000_000) -> Data
     ``map_groups`` — residual ties after the digest are byte-identical
     rows and resolved on that (vanishingly rare) subset only.
     """
-    from ray.data.aggregate import Count, Max
-
     stats = (
         _hagg_auto(pages.select_columns(["url", "warc_ts"]), "url", [('warc_ts', 'max', 'keep_ts'), ('', 'count_all', 'n')])
         .filter(expr="n > 1")
@@ -251,21 +262,8 @@ def dedup_pages_by_url(pages: Dataset, broadcast_limit: int = 2_000_000) -> Data
     n_dup = stats.count()
     if n_dup == 0:
         return pages
-
-    def pick_one(group):
-        # deterministic winner even among equal-max-ts rows (shuffle
-        # order is not stable): tie-break on a content digest — the
-        # same rule as the shuffle fallback, so both paths agree.
-        # na_position='first' so a NULL warc_ts never beats a real
-        # timestamp (matches the broadcast path, which drops null-ts
-        # rows whenever the url has any real crawl time)
-        g = group.copy()
-        g["_d"] = _content_digests_pd(g)
-        g = g.sort_values(["warc_ts", "_d"], kind="stable", na_position="first")
-        return g.tail(1).drop(columns=["_d"])
-
     if n_dup > broadcast_limit:
-        return _dedup_urls_by_join(pages, pick_one)
+        return _dedup_urls_by_join(pages)
 
     dup_urls: list[str] = []
     keep_ts: list = []
@@ -309,32 +307,16 @@ def dedup_pages_by_url(pages: Dataset, broadcast_limit: int = 2_000_000) -> Data
         .filter(expr="n > 1")
         .take_all()
     }
-    if not ties:
-        return masked
-
-    tie_keys = pa.array(sorted(ties), pa.string())
-    tie_ref = ray.put(tie_keys)
-
-    def split(batch: pa.Table, keep_tie: bool) -> pa.Table:
-        tk = ray.get(tie_ref)
-        hit = pc.is_valid(pc.index_in(batch.column("url").combine_chunks(), value_set=tk))
-        return batch.filter(hit if keep_tie else pc.invert(hit))
-
-    clean = masked.map_batches(split, fn_kwargs={"keep_tie": False}, batch_format="pyarrow")
-    resolved = (
-        masked.map_batches(split, fn_kwargs={"keep_tie": True}, batch_format="pyarrow")
-        .groupby("url")
-        .map_groups(pick_one, batch_format="pandas")
-    )
-    return clean.union(resolved)
+    return _resolve_url_ties(masked, ties)
 
 
 def pages_to_stage_rows(pages: Dataset, cfg: KGConfig) -> Dataset:
     """pages -> exploded edge/alias/name-count rows (one fused pass).
 
-    The stage chain is declared through the Stage protocol so the
+    The stage chain is declared once through the Stage protocol: the
     needs/produces validation (reference ``Pipeline.check_valid``,
-    ``renard/pipeline/core.py:643-693``) runs before execution.
+    ``renard/pipeline/core.py:643-693``) runs on that list before
+    execution, and ``Stage.apply`` chains the same list onto the pages.
     """
     from renard_ray.stages.core import Stage, check_valid
 
@@ -344,64 +326,42 @@ def pages_to_stage_rows(pages: Dataset, cfg: KGConfig) -> Dataset:
     schema = pages.schema()
     col_names = schema.names if schema is not None else []
 
-    declared: list = []
+    stages: list[Stage] = []
     if "html" in col_names:
-        declared.append(
+        # lang filter folded into the extract pass (no standalone
+        # Filter operator = one fewer full scan)
+        stages.append(
             Stage(
                 "extract_text",
                 extract_text_batch,
                 needs=frozenset({"url", "html", "text"}),
                 produces=frozenset({"text_ok"}),
                 removes=frozenset({"html"}),
+                fn_kwargs={"langs": tuple(langs) if langs else None},
             )
         )
-    declared.append(
+        ds = pages
+    else:
+        ds = pages.filter(expr=f"lang in {langs!r}") if langs else pages
+    stages.append(
         Stage(
             "doc_kernel",
-            DocKernel,
+            doc_kernel_batch,
             needs=frozenset({"url", "text"}),
             optional_needs=frozenset({"lang", "text_ok"}),
             produces=frozenset(
                 {"subj", "pred", "obj", "weight", "polarity", "block_id"}
             ),
             removes=frozenset({"url", "warc_ts", "text", "lang", "text_ok"}),
+            batch_size=cfg.kernel_batch_size,
+            fn_kwargs={"cfg": cfg.doc},
         )
     )
     if col_names:
-        check_valid(declared, col_names)
-
-    if "html" in col_names:
-        # lang filter folded into the extract pass (no standalone
-        # Filter operator = one fewer full scan)
-        ds = pages.map_batches(
-            extract_text_batch,
-            fn_kwargs={"langs": tuple(langs) if langs else None},
-            batch_format="pyarrow",
-        )
-    else:
-        ds = pages.filter(expr=f"lang in {langs!r}") if langs else pages
-    if cfg.kernel_mode == "tasks":
-        from renard_ray.stages.doc_stages import doc_kernel_batch
-
-        return ds.map_batches(
-            doc_kernel_batch,
-            fn_kwargs={"cfg": cfg.doc},
-            batch_format="pyarrow",
-            batch_size=cfg.kernel_batch_size,
-        )
-    conc = cfg.kernel_concurrency
-    if conc is None:
-        # autoscaling actor pool sized to the cluster's CPUs
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        conc = (1, max(2, ncpu))
-    kwargs: dict = {"concurrency": conc}
-    return ds.map_batches(
-        DocKernel,
-        fn_constructor_kwargs={"cfg": cfg.doc},
-        batch_format="pyarrow",
-        batch_size=cfg.kernel_batch_size,
-        **kwargs,
-    )
+        check_valid(stages, col_names)
+    for stage in stages:
+        ds = stage.apply(ds)
+    return ds
 
 
 def _stage_block(block: pa.Table) -> pa.Table:
@@ -549,10 +509,8 @@ def _distributed_node_canon(stage_rows: Dataset) -> tuple[Dataset, int]:
             }
         )
 
-    from renard_ray.ops.hashagg import hash_aggregate as _hagg_kg
-
     display = (
-        _hagg_kg(
+        _hagg_auto(
             labeled_counts.map_batches(
                 _encode_pick_key, batch_format="pyarrow"
             ),
@@ -615,56 +573,74 @@ def _distributed_relabel(
         c = batch.column("canonical")
         o = pc.if_else(pc.is_null(c), batch.column("obj"), c)
         t = batch.drop_columns(["obj", "canonical", "node"] if "node" in batch.column_names else ["obj", "canonical"]).append_column("obj", o)
-        # normalize undirected + drop self loops
-        s = t.column("subj")
-        ob = t.column("obj")
-        p = t.column("pred")
-        undirected = pc.is_in(p, value_set=pa.array(list(UNDIRECTED_PREDS)))
-        lo = pc.min_element_wise(s, ob)
-        hi = pc.max_element_wise(s, ob)
-        ns = pc.if_else(undirected, lo, s)
-        no = pc.if_else(undirected, hi, ob)
-        t = t.drop_columns(["subj", "obj"]).append_column("subj", ns).append_column("obj", no)
-        return t.filter(pc.not_equal(ns, no))
+        return _order_and_drop(t, t.column("subj"), o)
 
     return step2.map_batches(_apply_obj, batch_format="pyarrow")
 
 
-@ray.remote
-def _relabel_block(batch: pa.Table, canon: tuple[pa.Array, pa.Array]) -> pa.Table:
-    """One stage-row block -> its edge rows with both endpoints mapped
-    through the broadcast (sorted names, canonical names) arrays,
-    undirected predicates normalized, self-loops dropped and the block
-    combined (``_partial_agg``)."""
+def _order_and_drop(batch: pa.Table, s: pa.Array, o: pa.Array) -> pa.Table:
+    """``batch`` with its endpoints replaced by the relabeled ``s`` /
+    ``o``: undirected predicates put in (lower, higher) order and the
+    self-loops cross-doc merging creates (a doc-local pair that became
+    one entity) dropped.  Every other column passes through."""
+    is_und = pc.is_in(
+        batch.column("pred"), value_set=pa.array(UNDIRECTED_PREDS, pa.string())
+    )
+    ns = pc.if_else(is_und, pc.min_element_wise(s, o), s)
+    no = pc.if_else(is_und, pc.max_element_wise(s, o), o)
+    t = batch.set_column(batch.schema.get_field_index("subj"), "subj", ns)
+    t = t.set_column(t.schema.get_field_index("obj"), "obj", no)
+    return t.filter(pc.not_equal(ns, no))
+
+
+def _relabel(batch: pa.Table, canon: tuple[pa.Array, pa.Array]) -> pa.Table:
+    """Edge rows with both endpoints mapped through the broadcast
+    (sorted names, canonical names) arrays — a name absent from them
+    keeps its label — then ``_order_and_drop``."""
     keys, vals = canon
-    batch = _stage_block(batch)
-    not_edge = pa.array([ALIAS_OF, NAME_COUNT, METRIC], pa.string())
-    batch = batch.filter(pc.invert(pc.is_in(batch.column("pred"), value_set=not_edge)))
 
     def remap(col: pa.ChunkedArray) -> pa.Array:
         col = col.combine_chunks()
         mapped = pc.take(vals, pc.index_in(col, value_set=keys))
         return pc.if_else(pc.is_null(mapped), col, mapped)
 
-    s = remap(batch.column("subj"))
-    o = remap(batch.column("obj"))
-    p = batch.column("pred")
-    # normalize undirected predicates; drop self-loops created by
-    # cross-doc merging (a doc-local pair that became one entity)
-    is_und = pc.is_in(p, value_set=pa.array(UNDIRECTED_PREDS, pa.string()))
-    ns = pc.if_else(is_und, pc.min_element_wise(s, o), s)
-    no = pc.if_else(is_und, pc.max_element_wise(s, o), o)
-    t = pa.table(
-        {
-            "subj": ns,
-            "pred": p,
-            "obj": no,
-            "weight": batch.column("weight"),
-            "polarity": batch.column("polarity"),
-            "block_id": batch.column("block_id"),
-        }
-    ).filter(pc.not_equal(ns, no))
-    return _partial_agg(t)
+    return _order_and_drop(batch, remap(batch.column("subj")), remap(batch.column("obj")))
+
+
+def _broadcast_canon(stage_rows: Dataset, cfg: KGConfig) -> ray.ObjectRef | None:
+    """The canonicalization decision.  Under ``cc_mode`` "auto" the
+    alias summary is probed under ``cfg.broadcast_limit`` (so the probe
+    itself never holds a larger vocabulary); a forced "driver" carries
+    no limit (the caller asserts it fits).  On the driver path returns
+    an object ref to the (sorted names, canonical names) arrays; returns
+    None when the distributed path must run (forced "distributed", or
+    the probe crossed the limit)."""
+    if cfg.cc_mode not in ("auto", "driver"):
+        return None
+    limit = None if cfg.cc_mode == "driver" else cfg.broadcast_limit
+    pairs, counts = _driver_alias_summary(stage_rows, pair_limit=limit)
+    if pairs is None:
+        return None
+    name2canon = _driver_cc_and_names(pairs, counts)
+    # two parallel arrays, so the lookup is a vectorized pyarrow
+    # index_in/take, not a per-row dict loop
+    names_sorted = sorted(name2canon)
+    return ray.put(
+        (
+            pa.array(names_sorted, pa.string()),
+            pa.array([name2canon[n] for n in names_sorted], pa.string()),
+        )
+    )
+
+
+@ray.remote
+def _relabel_block(batch: pa.Table, canon: tuple[pa.Array, pa.Array]) -> pa.Table:
+    """One stage-row block -> its edge rows relabeled (``_relabel``)
+    and the block combined (``_partial_agg``)."""
+    batch = _stage_block(batch)
+    not_edge = pa.array([ALIAS_OF, NAME_COUNT, METRIC], pa.string())
+    batch = batch.filter(pc.invert(pc.is_in(batch.column("pred"), value_set=not_edge)))
+    return _partial_agg(_relabel(batch, canon))
 
 
 def relabel_and_aggregate(
@@ -683,26 +659,8 @@ def relabel_and_aggregate(
     joins — no single machine holds the vocabulary.
     """
     stage_rows = stage_rows.materialize()
-    name2canon: dict[str, str] | None = None
-    if cfg.cc_mode in ("auto", "driver"):
-        # "auto" probes under the broadcast limit so the probe itself
-        # never holds a >limit vocabulary; a forced "driver" carries no
-        # limit (the caller asserts it fits)
-        limit = None if cfg.cc_mode == "driver" else cfg.broadcast_limit
-        pairs, counts = _driver_alias_summary(stage_rows, pair_limit=limit)
-        if pairs is not None:
-            name2canon = _driver_cc_and_names(pairs, counts)
-
-    if name2canon is not None:
-        # broadcast the map as two parallel arrays so the lookup is a
-        # vectorized pyarrow index_in/take, not a per-row dict loop
-        names_sorted = sorted(name2canon)
-        canon_ref = ray.put(
-            (
-                pa.array(names_sorted, pa.string()),
-                pa.array([name2canon[n] for n in names_sorted], pa.string()),
-            )
-        )
+    canon_ref = _broadcast_canon(stage_rows, cfg)
+    if canon_ref is not None:
         relabeled = ray.data.from_arrow_refs(
             [_relabel_block.remote(r, canon_ref) for r in stage_rows.to_arrow_refs()]
         )
@@ -798,12 +756,11 @@ def kg_growth(pages: Dataset, cfg: KGConfig | None = None) -> Dataset:
        keeps its source page;
     2. months attach to edge rows via the size-adaptive url lookup
        (broadcast under the row budget, hash join past it);
-    3. endpoints relabel through the canonical-name map: under
-       ``cfg.broadcast_limit`` distinct alias pairs, the same driver
-       union-find + broadcast the default ``build_kg`` path uses; past
-       it, the distributed star-CC + two-hash-join relabel of
-       ``relabel_and_aggregate``, with the month column carried as a
-       payload column;
+    3. endpoints relabel through the canonical-name map, chosen by the
+       same decision as ``relabel_and_aggregate`` (``cfg.cc_mode`` and
+       ``cfg.broadcast_limit``): the driver union-find + broadcast
+       ``_relabel``, or the distributed star-CC + two-hash-join relabel,
+       with the month column carried as a payload column;
     4. first-seen reduction: ``groupby(subj,pred,obj).min(month)`` for
        edges, endpoint fan-out + ``groupby(node).min(month)`` for
        entities — two shuffles over (key, month) pairs only;
@@ -812,8 +769,6 @@ def kg_growth(pages: Dataset, cfg: KGConfig | None = None) -> Dataset:
 
     Output: (month, n_new_entities, n_new_edges), month as yyyymm int.
     """
-    from ray.data.aggregate import Min, Sum
-
     from renard_ray.ops.relational import broadcast_lookup_join
 
     cfg = cfg or KGConfig()
@@ -835,12 +790,7 @@ def kg_growth(pages: Dataset, cfg: KGConfig | None = None) -> Dataset:
     )
 
     stage_rows = pages_to_stage_rows(pages, cfg).materialize()
-
-    # probe under the broadcast limit — None means the vocabulary is too
-    # large to hold driver-side and the distributed relabel takes over
-    pairs, counts = _driver_alias_summary(
-        stage_rows, pair_limit=cfg.broadcast_limit
-    )
+    canon_ref = _broadcast_canon(stage_rows, cfg)
 
     edges = stage_rows.filter(
         expr=(
@@ -870,41 +820,10 @@ def kg_growth(pages: Dataset, cfg: KGConfig | None = None) -> Dataset:
             }
         )
 
-    if pairs is not None:
-        name2canon = _driver_cc_and_names(pairs, counts)
-
-        names_sorted = sorted(name2canon)
-        lookup_keys = pa.array(names_sorted, pa.string())
-        lookup_vals = pa.array([name2canon[n] for n in names_sorted], pa.string())
-        canon_ref = ray.put((lookup_keys, lookup_vals))
-        undirected = pa.array(list(UNDIRECTED_PREDS), pa.string())
+    if canon_ref is not None:
 
         def relabel_with_month(batch: pa.Table) -> pa.Table:
-            keys, vals = ray.get(canon_ref)
-
-            def remap(col):
-                col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-                idx = pc.index_in(col, value_set=keys)
-                mapped = pc.take(vals, idx)
-                return pc.if_else(pc.is_null(mapped), col, mapped)
-
-            s = remap(batch.column("subj"))
-            o = remap(batch.column("obj"))
-            p = batch.column("pred")
-            is_und = pc.is_in(p, value_set=undirected)
-            lo = pc.min_element_wise(s, o)
-            hi = pc.max_element_wise(s, o)
-            ns = pc.if_else(is_und, lo, s)
-            no = pc.if_else(is_und, hi, o)
-            t = pa.table(
-                {
-                    "subj": ns,
-                    "pred": p,
-                    "obj": no,
-                    "month": batch.column("month"),
-                }
-            ).filter(pc.not_equal(ns, no))
-            return _combine_months(t)
+            return _combine_months(_relabel(batch, ray.get(canon_ref)))
 
         relabeled = edges.map_batches(
             relabel_with_month, batch_format="pyarrow", batch_size=None
@@ -990,8 +909,6 @@ def snapshot_diff(old: Dataset, new: Dataset) -> Dataset:
 
     Output: (subj, pred, obj, status, w_old_c, w_new_c, delta_c),
     absent sides reported as weight 0."""
-    from ray.data.aggregate import Sum
-
     from renard_ray.ops.relational import _join_parts_bytes, drop_empty_blocks
 
     def keyed(ds: Dataset, out: str) -> Dataset:
@@ -1014,9 +931,7 @@ def snapshot_diff(old: Dataset, new: Dataset) -> Dataset:
                 }
             )
 
-        from renard_ray.ops.hashagg import hash_aggregate as _hagg_kg3
-
-        return _hagg_kg3(
+        return _hagg_auto(
             ds.select_columns(["subj", "pred", "obj", "weight"]).map_batches(
                 derive, batch_format="pyarrow"
             ),

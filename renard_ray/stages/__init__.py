@@ -1,4 +1,4 @@
-"""Ray Data stage wrappers: ``map_batches`` callables / actor-pool
-classes over zero-copy Arrow batches, plus schema (needs/produces)
-validation mirroring the reference's ``Pipeline.check_valid``
+"""Ray Data stage wrappers: ``map_batches`` task functions over
+zero-copy Arrow batches, plus schema (needs/produces) validation
+mirroring the reference's ``Pipeline.check_valid``
 (``renard/pipeline/core.py:643-693``)."""

@@ -27,49 +27,36 @@ class PipelineValidationError(ValueError):
 
 @dataclass
 class Stage:
-    """One Ray Data stage: a ``map_batches`` callable (or actor class)
-    plus its declared column contract.
+    """One Ray Data stage: a ``map_batches`` task function plus its
+    declared column contract.
 
-    - ``fn``: callable(batch)->batch, or a class for actor pools.
+    - ``fn``: callable(batch, **fn_kwargs) -> batch, run as plain tasks
+      over pyarrow batches.
     - ``needs`` / ``optional_needs`` / ``produces``: column names
       (``production()``/``needs()``/``optional_needs()`` analogs,
       ``core.py:129-151``).
     - ``removes``: columns this stage drops (no reference analog — the
       reference only accretes state; dropping is how a columnar engine
       keeps batches narrow, e.g. ``html`` after text extraction).
-    - ``batch_size`` / ``concurrency`` / ``num_cpus`` / ``num_gpus``:
-      per-stage physical knobs.
+    - ``batch_size``: rows per batch (Ray Data's default when None).
+    - ``fn_kwargs``: keyword arguments bound into every call of ``fn``.
     """
 
     name: str
-    fn: Callable | type
+    fn: Callable
     needs: frozenset[str] = frozenset()
     optional_needs: frozenset[str] = frozenset()
     produces: frozenset[str] = frozenset()
     removes: frozenset[str] = frozenset()
     batch_size: int | None = None
-    concurrency: int | tuple[int, int] | None = None
-    num_cpus: float | None = None
-    num_gpus: float | None = None
     fn_kwargs: dict = field(default_factory=dict)
-    fn_constructor_kwargs: dict = field(default_factory=dict)
 
     def apply(self, ds: Dataset) -> Dataset:
         kwargs: dict = {"batch_format": "pyarrow"}
         if self.batch_size is not None:
             kwargs["batch_size"] = self.batch_size
-        if self.num_cpus is not None:
-            kwargs["num_cpus"] = self.num_cpus
-        if self.num_gpus is not None:
-            kwargs["num_gpus"] = self.num_gpus
-        if isinstance(self.fn, type):
-            kwargs["concurrency"] = self.concurrency or (1, 4)
-            kwargs["fn_constructor_kwargs"] = self.fn_constructor_kwargs
-        else:
-            if self.concurrency is not None:
-                kwargs["concurrency"] = self.concurrency
-            if self.fn_kwargs:
-                kwargs["fn_kwargs"] = self.fn_kwargs
+        if self.fn_kwargs:
+            kwargs["fn_kwargs"] = self.fn_kwargs
         return ds.map_batches(self.fn, **kwargs)
 
 

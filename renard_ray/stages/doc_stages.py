@@ -6,12 +6,12 @@ Design (SURVEY.md §7):
   to the stored ``text`` column (``BASELINE.json input_hint``); counts
   mismatches instead of failing, drops ``html`` immediately so the big
   binary column never travels further down the pipeline.
-- ``DocKernel`` — the fused per-document NLP chain (tokenize -> NER ->
-  coref -> unify -> edge extraction) as an actor-pool class: lexicons /
-  gazetteers are built once per actor in ``__init__`` (the reference
-  loads models in ``_pipeline_init_`` once per run,
-  ``renard/pipeline/core.py:608-625``); ``__call__`` processes one
-  Arrow batch of pages and emits exploded edge/alias rows.
+- ``doc_kernel_batch`` — the fused per-document NLP chain (tokenize ->
+  NER -> coref -> unify -> edge extraction) as a plain ``map_batches``
+  task function: one Arrow batch of pages in, exploded edge/alias rows
+  out.  Lexicons and gazetteers are module-level singletons, built once
+  per worker process (the reference loads its models once per run in
+  ``_pipeline_init_``, ``renard/pipeline/core.py:608-625``).
 
 Fusing the whole per-doc chain into ONE stage is deliberate: the
 intermediate per-doc state (tokens, entities, chains) is large and
@@ -23,12 +23,13 @@ debug surface).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import pyarrow as pa
 
-from renard_ray.textproc.document import DocConfig, emit_rows, process_document
+from renard_ray.textproc.document import METRIC, DocConfig, emit_rows, process_document
 from renard_ray.textproc.html import extract_text
+
+# straggler guard: the kernel cuts a page's text to this many characters
+MAX_TEXT_LEN = 2_000_000
 
 EDGES_SCHEMA = pa.schema(
     [
@@ -74,117 +75,82 @@ def extract_text_batch(batch: pa.Table, langs: tuple[str, ...] | None = None) ->
     return pa.table(cols)
 
 
-def doc_kernel_batch(batch: pa.Table, cfg: DocConfig, max_text_len: int = 2_000_000) -> pa.Table:
-    """Task-form of the doc kernel (see ``DocKernel``): for CPU-only
-    rule kernels, plain tasks beat an actor pool — no actor-startup
-    latency, elastic scaling — because the only per-worker state
-    (lexicons) is a module-level singleton loaded once per worker
-    process.  Model-backed deployments use the ``DocKernel`` actor
-    class instead (weights in ``__init__``)."""
-    kernel = DocKernel.__new__(DocKernel)
-    kernel.cfg = cfg
-    kernel.max_text_len = max_text_len
-    return next(kernel(batch))
+def batch_langs(batch: pa.Table) -> list[str]:
+    """Each row's ``lang``, ``eng`` where the batch has no ``lang``
+    column or the value is null or empty."""
+    if "lang" not in batch.column_names:
+        return ["eng"] * batch.num_rows
+    return [lang or "eng" for lang in batch.column("lang").to_pylist()]
 
 
-class DocKernel:
-    """Actor-pool stage: one Arrow batch of pages in, edge/alias rows out.
+def edges_table(cols: dict[str, list]) -> pa.Table:
+    """Stage-row columns (one list per ``EDGES_SCHEMA`` field) -> table."""
+    return pa.Table.from_pydict(cols, schema=EDGES_SCHEMA)
+
+
+def doc_kernel_batch(batch: pa.Table, cfg: DocConfig) -> pa.Table:
+    """The fused per-document kernel: one Arrow batch of pages in,
+    exploded edge/alias/name-count rows plus per-batch ``METRIC`` rows
+    out.  Runs as plain ``map_batches`` tasks: the only per-worker state
+    (lexicons, gazetteer) is module-level singletons loaded once per
+    worker process.
 
     Reference analog: the whole preconfigured step chain
-    (``renard/pipeline/preconfigured.py:6-47``) run per document.  On a
-    real cluster the rule NER/coref inside ``process_document`` is
-    swapped for BERT actors producing the same schemas; the fused
-    emit logic is unchanged.
+    (``renard/pipeline/preconfigured.py:6-47``) run per document.
     """
+    out: dict[str, list] = {name: [] for name in EDGES_SCHEMA.names}
+    urls = batch.column("url").to_pylist()
+    texts = batch.column("text").to_pylist()
+    n_truncated = 0
+    for url, text, lang in zip(urls, texts, batch_langs(batch)):
+        if not text:
+            continue
+        # straggler guard: cap giant documents (counted, not dropped)
+        if len(text) > MAX_TEXT_LEN:
+            n_truncated += 1
+            text = text[:MAX_TEXT_LEN]
+        res = process_document(text, cfg, lang)
+        rows = emit_rows(res, url, include_url=cfg.emit_url)
+        for k in out:
+            out[k].extend(rows[k])
 
-    def __init__(self, cfg: DocConfig | None = None, max_text_len: int = 2_000_000):
-        # once-per-actor setup: force-load lexicons/gazetteer singletons
-        from renard_ray.resources.hypocorisms import shared_gazetteer
+    # per-batch metric rows (aggregated by the checkpoint runner /
+    # dropped before the triple aggregate): per-row text invariant
+    # violations (BASELINE per-row invariant) + truncation count
+    metrics = {"docs": float(len(urls)), "truncated": float(n_truncated)}
+    if "text_ok" in batch.column_names:
+        import pyarrow.compute as pc
 
-        shared_gazetteer("eng")
-        self.cfg = cfg or DocConfig()
-        self.max_text_len = max_text_len
-
-    def __call__(self, batch: pa.Table) -> Iterator[pa.Table]:
-        from renard_ray.textproc.document import METRIC
-
-        cfg = self.cfg
-        out: dict[str, list] = {
-            "subj": [],
-            "pred": [],
-            "obj": [],
-            "weight": [],
-            "polarity": [],
-            "block_id": [],
-            "url": [],
-        }
-        urls = batch.column("url").to_pylist()
-        texts = batch.column("text").to_pylist()
-        langs = (
-            batch.column("lang").to_pylist()
-            if "lang" in batch.column_names
-            else ["eng"] * len(urls)
+        n_bad = batch.num_rows - (pc.sum(pc.cast(batch.column("text_ok"), pa.int8())).as_py() or 0)
+        metrics["text_mismatch"] = float(n_bad)
+    for name, val in metrics.items():
+        out["subj"].append(name)
+        out["pred"].append(METRIC)
+        out["obj"].append("")
+        out["weight"].append(val)
+        out["polarity"].append(0.0)
+        out["block_id"].append(-1)
+        out["url"].append("")
+    t = edges_table(out)
+    if not cfg.emit_url and t.num_rows:
+        # cross-document combine within the batch: hub entities
+        # repeat the same (subj, pred, obj) across most documents,
+        # so this collapses the stage output (and every downstream
+        # pass and shuffle) several-fold.  Summing is correct for
+        # every row kind: edge weights, name counts, alias
+        # multiplicity and metric counters are all additive.
+        g = t.group_by(["subj", "pred", "obj", "block_id", "url"]).aggregate(
+            [("weight", "sum"), ("polarity", "sum")]
         )
-        n_truncated = 0
-        for url, text, lang in zip(urls, texts, langs):
-            if not text:
-                continue
-            # straggler guard: cap giant documents (counted, not dropped)
-            if len(text) > self.max_text_len:
-                n_truncated += 1
-                text = text[: self.max_text_len]
-            res = process_document(text, cfg, lang or "eng")
-            rows = emit_rows(res, url, include_url=cfg.emit_url)
-            for k in out:
-                out[k].extend(rows[k])
-
-        # per-batch metric rows (aggregated by the checkpoint runner /
-        # dropped before the triple aggregate): per-row text invariant
-        # violations (BASELINE per-row invariant) + truncation count
-        metrics = {"docs": float(len(urls)), "truncated": float(n_truncated)}
-        if "text_ok" in batch.column_names:
-            import pyarrow.compute as pc
-
-            n_bad = batch.num_rows - (pc.sum(pc.cast(batch.column("text_ok"), pa.int8())).as_py() or 0)
-            metrics["text_mismatch"] = float(n_bad)
-        for name, val in metrics.items():
-            out["subj"].append(name)
-            out["pred"].append(METRIC)
-            out["obj"].append("")
-            out["weight"].append(val)
-            out["polarity"].append(0.0)
-            out["block_id"].append(-1)
-            out["url"].append("")
-        t = pa.table(
-            {
-                "subj": pa.array(out["subj"], pa.string()),
-                "pred": pa.array(out["pred"], pa.string()),
-                "obj": pa.array(out["obj"], pa.string()),
-                "weight": pa.array(out["weight"], pa.float64()),
-                "polarity": pa.array(out["polarity"], pa.float64()),
-                "block_id": pa.array(out["block_id"], pa.int32()),
-                "url": pa.array(out["url"], pa.string()),
-            }
+        # select by NAME before the positional rename — robust to
+        # pyarrow changing the key/aggregate output column order
+        g = g.select(
+            ["subj", "pred", "obj", "block_id", "url", "weight_sum", "polarity_sum"]
         )
-        if not cfg.emit_url and t.num_rows:
-            # cross-document combine within the batch: hub entities
-            # repeat the same (subj, pred, obj) across most documents,
-            # so this collapses the stage output (and every downstream
-            # pass and shuffle) several-fold.  Summing is correct for
-            # every row kind: edge weights, name counts, alias
-            # multiplicity and metric counters are all additive.
-            g = t.group_by(["subj", "pred", "obj", "block_id", "url"]).aggregate(
-                [("weight", "sum"), ("polarity", "sum")]
-            )
-            # select by NAME before the positional rename — robust to
-            # pyarrow changing the key/aggregate output column order
-            g = g.select(
-                ["subj", "pred", "obj", "block_id", "url", "weight_sum", "polarity_sum"]
-            )
-            t = g.rename_columns(
-                ["subj", "pred", "obj", "block_id", "url", "weight", "polarity"]
-            )
-        yield t
+        t = g.rename_columns(
+            ["subj", "pred", "obj", "block_id", "url", "weight", "polarity"]
+        )
+    return t
 
 
 def doc_state_batch(batch: pa.Table, cfg: DocConfig | None = None) -> pa.Table:
@@ -196,19 +162,14 @@ def doc_state_batch(batch: pa.Table, cfg: DocConfig | None = None) -> pa.Table:
     cfg = cfg or DocConfig()
     urls = batch.column("url").to_pylist()
     texts = batch.column("text").to_pylist()
-    langs = (
-        batch.column("lang").to_pylist()
-        if "lang" in batch.column_names
-        else ["eng"] * len(urls)
-    )
     out = {
         "url": [], "n_tokens": [], "n_sentences": [], "n_entities": [],
         "n_corefs": [], "n_quotes": [], "n_characters": [], "characters": [],
     }
-    for url, text, lang in zip(urls, texts, langs):
+    for url, text, lang in zip(urls, texts, batch_langs(batch)):
         if not text:
             continue
-        res = process_document(text[:2_000_000], cfg, lang or "eng")
+        res = process_document(text[:MAX_TEXT_LEN], cfg, lang)
         out["url"].append(url)
         out["n_tokens"].append(res.tok.n_tokens())
         out["n_sentences"].append(len(res.tok.sent_bounds))

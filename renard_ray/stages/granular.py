@@ -1,10 +1,10 @@
 """Granular (non-fused) stage pipeline with explicit Arrow columns.
 
-The fused ``DocKernel`` is the production path; this module exposes the
-same chain as SEPARATE ``map_batches`` stages whose intermediate state
-lives in typed Arrow columns — the SURVEY §1.3 schema mapping made
-concrete, and the composition surface for users who swap or extend
-individual steps (reference analog: assembling a ``Pipeline`` from
+The fused ``doc_kernel_batch`` is the production path; this module
+exposes the same chain as SEPARATE ``map_batches`` stages whose
+intermediate state lives in typed Arrow columns — the SURVEY §1.3
+schema mapping made concrete, and the composition surface for users
+who swap or extend individual steps (reference analog: assembling a ``Pipeline`` from
 ``PipelineStep`` objects, ``renard/pipeline/core.py:583-606``):
 
     tokens:      token_starts/token_ends list<int32> (offsets into
@@ -16,9 +16,11 @@ individual steps (reference analog: assembling a ``Pipeline`` from
                  mentions list<struct<start,end int32, surface string>>>>
 
 Each stage declares needs/produces through ``stages.core.Stage`` so
-``check_valid`` guards composition; the terminal stage emits the same
-edge-row schema the fused kernel produces, so the distributed tail
-(canonicalize + aggregate) is shared.
+``check_valid`` guards composition.  Every step calls the same
+per-document function the fused kernel runs (``textproc.document``:
+``doc_corefs``, ``doc_characters``, ``build_edge_blocks``, ``emit_rows``),
+and the terminal stage emits the same edge-row schema, so the
+distributed tail (canonicalize + aggregate) is shared.
 """
 
 from __future__ import annotations
@@ -26,12 +28,16 @@ from __future__ import annotations
 import pyarrow as pa
 
 from renard_ray.stages.core import Stage
-from renard_ray.textproc.coref import resolve_corefs
-from renard_ray.textproc.document import DocConfig, DocResult, emit_rows
-from renard_ray.textproc.graph import co_occurrence_edges
+from renard_ray.stages.doc_stages import EDGES_SCHEMA, batch_langs, edges_table
+from renard_ray.textproc.document import (
+    DocConfig,
+    DocResult,
+    doc_characters,
+    doc_corefs,
+    emit_rows,
+)
 from renard_ray.textproc.ner import Entity, extract_entities
 from renard_ray.textproc.tokenize import Tokenized, tokenize
-from renard_ray.textproc.unify import graph_rules_unify, naive_unify
 
 _ENT_T = pa.list_(
     pa.struct([("start", pa.int32()), ("end", pa.int32()), ("tag", pa.string())])
@@ -72,20 +78,15 @@ def _row_tokens(text: str, starts: list[int], ends: list[int]) -> list[str]:
 
 def ner_batch(batch: pa.Table) -> pa.Table:
     out = []
-    langs = (
-        batch.column("lang").to_pylist()
-        if "lang" in batch.column_names
-        else ["eng"] * batch.num_rows
-    )
     for text, starts, ends, bounds, lang in zip(
         batch.column("text").to_pylist(),
         batch.column("token_starts").to_pylist(),
         batch.column("token_ends").to_pylist(),
         batch.column("sent_bounds").to_pylist(),
-        langs,
+        batch_langs(batch),
     ):
         tokens = _row_tokens(text or "", starts, ends)
-        ents = extract_entities(tokens, bounds, lang or "eng")
+        ents = extract_entities(tokens, bounds, lang)
         out.append([{"start": e.start, "end": e.end, "tag": e.tag} for e in ents])
     return batch.append_column("entities", pa.array(out, _ENT_T))
 
@@ -93,26 +94,16 @@ def ner_batch(batch: pa.Table) -> pa.Table:
 def coref_batch(batch: pa.Table, cfg: DocConfig | None = None) -> pa.Table:
     cfg = cfg or DocConfig()
     out = []
-    langs = (
-        batch.column("lang").to_pylist()
-        if "lang" in batch.column_names
-        else ["eng"] * batch.num_rows
-    )
     for text, starts, ends, ents, lang in zip(
         batch.column("text").to_pylist(),
         batch.column("token_starts").to_pylist(),
         batch.column("token_ends").to_pylist(),
         batch.column("entities").to_pylist(),
-        langs,
+        batch_langs(batch),
     ):
-        if not cfg.with_corefs:
-            out.append([])
-            continue
         tokens = _row_tokens(text or "", starts, ends)
         entities = [Entity(e["start"], e["end"], e["tag"]) for e in ents]
-        chains = resolve_corefs(
-            tokens, entities, lang or "eng", character_tag=cfg.character_tag
-        )
+        chains = doc_corefs(tokens, entities, cfg, lang)
         out.append([[{"start": s, "end": e} for s, e in ch] for ch in chains])
     return batch.append_column("corefs", pa.array(out, _COREF_T))
 
@@ -120,40 +111,18 @@ def coref_batch(batch: pa.Table, cfg: DocConfig | None = None) -> pa.Table:
 def unify_batch(batch: pa.Table, cfg: DocConfig | None = None) -> pa.Table:
     cfg = cfg or DocConfig()
     out = []
-    langs = (
-        batch.column("lang").to_pylist()
-        if "lang" in batch.column_names
-        else ["eng"] * batch.num_rows
-    )
     for text, starts, ends, ents, chains, lang in zip(
         batch.column("text").to_pylist(),
         batch.column("token_starts").to_pylist(),
         batch.column("token_ends").to_pylist(),
         batch.column("entities").to_pylist(),
         batch.column("corefs").to_pylist(),
-        langs,
+        batch_langs(batch),
     ):
         tokens = _row_tokens(text or "", starts, ends)
         entities = [Entity(e["start"], e["end"], e["tag"]) for e in ents]
         corefs = [[(m["start"], m["end"]) for m in ch] for ch in chains]
-        corefs_arg = corefs if cfg.with_corefs else None
-        if cfg.unifier == "naive":
-            chars = naive_unify(
-                tokens,
-                entities,
-                corefs_arg,
-                min_appearances=cfg.min_appearances,
-                character_tag=cfg.character_tag,
-            )
-        else:
-            chars = graph_rules_unify(
-                tokens,
-                entities,
-                corefs_arg,
-                lang=lang or "eng",
-                min_appearances=cfg.min_appearances,
-                character_tag=cfg.character_tag,
-            )
+        chars = doc_characters(tokens, entities, corefs, cfg, lang)
         out.append(
             [
                 {
@@ -182,10 +151,7 @@ def edges_batch(batch: pa.Table, cfg: DocConfig | None = None) -> pa.Table:
     from renard_ray.resources.lexicons import Gender
 
     cfg = cfg or DocConfig()
-    out: dict[str, list] = {
-        k: []
-        for k in ("subj", "pred", "obj", "weight", "polarity", "block_id", "url")
-    }
+    out: dict[str, list] = {name: [] for name in EDGES_SCHEMA.names}
     for url, text, starts, ends, bounds, chars in zip(
         batch.column("url").to_pylist(),
         batch.column("text").to_pylist(),
@@ -219,17 +185,7 @@ def edges_batch(batch: pa.Table, cfg: DocConfig | None = None) -> pa.Table:
         rows = emit_rows(res, url)
         for k in out:
             out[k].extend(rows[k])
-    return pa.table(
-        {
-            "subj": pa.array(out["subj"], pa.string()),
-            "pred": pa.array(out["pred"], pa.string()),
-            "obj": pa.array(out["obj"], pa.string()),
-            "weight": pa.array(out["weight"], pa.float64()),
-            "polarity": pa.array(out["polarity"], pa.float64()),
-            "block_id": pa.array(out["block_id"], pa.int32()),
-            "url": pa.array(out["url"], pa.string()),
-        }
-    )
+    return edges_table(out)
 
 
 def granular_stages(cfg: DocConfig | None = None) -> list[Stage]:

@@ -1,9 +1,11 @@
 """Per-document pipeline driver: text -> edges/aliases for ONE document.
 
-This is the single code path shared by the distributed Ray Data stage
-(``renard_ray.stages.doc_stages.DocKernel``) and the single-process
-golden oracle (``renard_ray.oracle.golden``), so per-document semantics
-are identical by construction (SURVEY.md §7.0).
+This is the single code path shared by the fused Ray Data kernel
+(``renard_ray.stages.doc_stages.doc_kernel_batch``), the granular
+per-step stages (``renard_ray.stages.granular``, which call the same
+step functions) and the single-process golden oracle
+(``renard_ray.oracle.golden``), so per-document semantics are
+identical by construction (SURVEY.md §7.0).
 
 Capability parity: the reference's preconfigured pipelines
 (``renard/pipeline/preconfigured.py:6-149``) — tokenize -> NER ->
@@ -91,29 +93,8 @@ def process_document(text: str, cfg: DocConfig, lang: str = "eng") -> DocResult:
     tok = tokenize(text)
     tokens = tok.tokens(text)
     entities = extract_entities(tokens, tok.sent_bounds, lang)
-    corefs = (
-        resolve_corefs(tokens, entities, lang, character_tag=cfg.character_tag)
-        if cfg.with_corefs
-        else []
-    )
-
-    if cfg.unifier == "naive":
-        characters = naive_unify(
-            tokens,
-            entities,
-            corefs if cfg.with_corefs else None,
-            min_appearances=cfg.min_appearances,
-            character_tag=cfg.character_tag,
-        )
-    else:
-        characters = graph_rules_unify(
-            tokens,
-            entities,
-            corefs if cfg.with_corefs else None,
-            lang=lang,
-            min_appearances=cfg.min_appearances,
-            character_tag=cfg.character_tag,
-        )
+    corefs = doc_corefs(tokens, entities, cfg, lang)
+    characters = doc_characters(tokens, entities, corefs, cfg, lang)
 
     (
         edge_blocks,
@@ -136,6 +117,45 @@ def process_document(text: str, cfg: DocConfig, lang: str = "eng") -> DocResult:
         sentence_relations=sentence_relations,
         edge_blocks=edge_blocks,
         is_dynamic=is_dynamic,
+    )
+
+
+def doc_corefs(
+    tokens: list[str], entities: list[Entity], cfg: DocConfig, lang: str
+) -> list[list[tuple[int, int]]]:
+    """The coreference step: rule-based chains when ``cfg.with_corefs``,
+    otherwise none."""
+    if not cfg.with_corefs:
+        return []
+    return resolve_corefs(tokens, entities, lang, character_tag=cfg.character_tag)
+
+
+def doc_characters(
+    tokens: list[str],
+    entities: list[Entity],
+    corefs: list[list[tuple[int, int]]],
+    cfg: DocConfig,
+    lang: str,
+) -> list[Character]:
+    """The character-unification step, by ``cfg.unifier`` (``naive`` or
+    ``graph_rules``); coreference chains are used only when
+    ``cfg.with_corefs``."""
+    chains = corefs if cfg.with_corefs else None
+    if cfg.unifier == "naive":
+        return naive_unify(
+            tokens,
+            entities,
+            chains,
+            min_appearances=cfg.min_appearances,
+            character_tag=cfg.character_tag,
+        )
+    return graph_rules_unify(
+        tokens,
+        entities,
+        chains,
+        lang=lang,
+        min_appearances=cfg.min_appearances,
+        character_tag=cfg.character_tag,
     )
 
 

@@ -25,7 +25,7 @@ def test_checkpoint_run_and_resume(ray_session, tmp_path):
     pages_path = str(tmp_path / "pages")
     ckpt = str(tmp_path / "ckpt")
     write_pages_parquet(pages_path, 60, seed=11, rows_per_file=10)
-    cfg = KGConfig(kernel_concurrency=2)
+    cfg = KGConfig()
 
     triples1, rep1 = run_kg_checkpointed(pages_path, ckpt, cfg, n_shards=3)
     got1 = _triples_set(triples1)
@@ -45,7 +45,7 @@ def test_checkpoint_run_and_resume(ray_session, tmp_path):
     assert _triples_set(triples2) == got1
 
     # a config change invalidates all manifests (lineage fingerprint)
-    cfg2 = KGConfig(kernel_concurrency=2)
+    cfg2 = KGConfig()
     cfg2.doc.with_sentiment = True
     _, rep3 = run_kg_checkpointed(pages_path, ckpt, cfg2, n_shards=3)
     assert rep3["shards_run"] == 3
@@ -62,7 +62,7 @@ def test_checkpoint_input_change_invalidates(ray_session, tmp_path):
     pages_path = str(tmp_path / "pages")
     ckpt = str(tmp_path / "ckpt")
     write_pages_parquet(pages_path, 40, seed=5, rows_per_file=10)
-    cfg = KGConfig(kernel_concurrency=2)
+    cfg = KGConfig()
 
     _, rep1 = run_kg_checkpointed(pages_path, ckpt, cfg, n_shards=2)
     assert rep1["shards_run"] == 2
@@ -325,8 +325,10 @@ def test_checkpoint_update_one_execution_and_manifest_metrics(ray_session, tmp_p
     assert _triples_set(triples) == want
 
     docs = 0.0
+    n_pages = 0
     for i in range(3):
         man = json.load(open(f"{ckpt}/manifest-{i:04d}.json"))
+        n_pages += man["n_pages"]
         d = f"{ckpt}/stage_rows/shard={i}"
         rows = pa_concat([pq.read_table(f"{d}/{f}") for f in sorted(os.listdir(d))])
         sums: dict = {}
@@ -343,6 +345,7 @@ def test_checkpoint_update_one_execution_and_manifest_metrics(ray_session, tmp_p
         docs += sums["docs"]
     langs = generate_pages_table(90, seed=17).column("lang").to_pylist()
     assert docs == langs.count("eng")
+    assert n_pages == 90
 
 
 def test_non_eng_corpus_gives_empty_graph(ray_session, tmp_path):
@@ -371,5 +374,9 @@ def test_non_eng_corpus_gives_empty_graph(ray_session, tmp_path):
 
     triples, rep = run_kg_checkpointed(pages_path, str(tmp_path / "ckpt"), KGConfig(), n_shards=2)
     assert rep["shards_run"] == 2 and triples.count() == 0
+    # the manifests count the pages read, though the kernel kept none
+    for i in range(2):
+        man = json.load(open(f"{tmp_path}/ckpt/manifest-{i:04d}.json"))
+        assert man["n_pages"] == 10
     write_graph(triples, str(tmp_path / "g2"), num_buckets=8)
     assert _graph_table(str(tmp_path / "g2")).num_rows == 0

@@ -45,7 +45,7 @@ def _ray_triples(pages_tbl: pa.Table, cfg: KGConfig):
 )
 def test_distributed_matches_oracle(ray_session, doc_cfg):
     pages_tbl = generate_pages_table(40, seed=7)
-    cfg = KGConfig(doc=doc_cfg, kernel_concurrency=2, kernel_batch_size=8)
+    cfg = KGConfig(doc=doc_cfg, kernel_batch_size=8)
     got = _ray_triples(pages_tbl, cfg)
     want = oracle_triples(pages_tbl, cfg)
     p, r = triple_precision_recall(got, want)
@@ -58,7 +58,6 @@ def test_dynamic_windows_match_oracle(ray_session):
     pages_tbl = generate_pages_table(25, seed=3)
     cfg = KGConfig(
         doc=DocConfig(dynamic_window=8, dynamic_overlap=2),
-        kernel_concurrency=2,
         kernel_batch_size=8,
     )
     got = _ray_triples(pages_tbl, cfg)
@@ -102,7 +101,7 @@ def test_distributed_cc_matches_driver_cc(ray_session):
 def test_edge_case_pages(ray_session):
     """Empty texts, non-eng pages and the giant page flow through."""
     pages_tbl = generate_pages_table(120, seed=42, with_edge_cases=True)
-    cfg = KGConfig(kernel_concurrency=2)
+    cfg = KGConfig()
     got = _ray_triples(pages_tbl, cfg)
     want = oracle_triples(pages_tbl, cfg)
     p, r = triple_precision_recall(got, want)
@@ -116,10 +115,10 @@ def test_distributed_canonicalization_path(ray_session):
 
     pages_tbl = generate_pages_table(30, seed=21)
     pages = ray.data.from_arrow(pages_tbl)
-    drv = _ray_triples(pages_tbl, KGConfig(kernel_concurrency=2))
+    drv = _ray_triples(pages_tbl, KGConfig())
     dist = build_kg(
         ray.data.from_arrow(pages_tbl),
-        KGConfig(kernel_concurrency=2, cc_mode="distributed"),
+        KGConfig(cc_mode="distributed"),
     ).to_pandas()
     dist_set = {
         (r.subj, r.pred, r.obj, int(r.block_id), float(r.weight))
@@ -143,7 +142,7 @@ def test_auto_probe_bails_to_distributed(ray_session, monkeypatch):
     )
 
     pages_tbl = generate_pages_table(30, seed=21)
-    cfg = KGConfig(kernel_concurrency=2)
+    cfg = KGConfig()
     stage_rows = pages_to_stage_rows(
         ray.data.from_arrow(pages_tbl), cfg
     ).materialize()
@@ -163,7 +162,7 @@ def test_auto_probe_bails_to_distributed(ray_session, monkeypatch):
     monkeypatch.setattr(kgmod, "_driver_cc_and_names", _boom)
     auto = build_kg(
         ray.data.from_arrow(pages_tbl),
-        KGConfig(kernel_concurrency=2, cc_mode="auto", broadcast_limit=0),
+        KGConfig(cc_mode="auto", broadcast_limit=0),
     ).to_pandas()
     auto_set = {
         (r.subj, r.pred, r.obj, int(r.block_id), float(r.weight))
@@ -191,6 +190,32 @@ def test_kg_growth_distributed_parity(ray_session, monkeypatch):
     monkeypatch.setattr(kgmod, "_driver_cc_and_names", _boom)
     got = kg_growth(
         ray.data.from_arrow(pages_tbl), KGConfig(broadcast_limit=0)
+    ).to_pandas()
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True), want.reset_index(drop=True),
+        check_dtype=False,
+    )
+
+
+def test_kg_growth_forced_distributed(ray_session, monkeypatch):
+    """kg_growth honours cc_mode="distributed" the way build_kg does:
+    the driver union-find never runs, and the output equals the default
+    (driver-path) kg_growth."""
+    import pandas as pd
+    import ray
+
+    import renard_ray.pipelines.kg as kgmod
+    from renard_ray.pipelines.kg import kg_growth
+
+    pages_tbl = generate_pages_table(30, seed=21)
+    want = kg_growth(ray.data.from_arrow(pages_tbl)).to_pandas()
+
+    def _boom(*a, **k):
+        raise AssertionError("driver union-find ran under cc_mode='distributed'")
+
+    monkeypatch.setattr(kgmod, "_driver_cc_and_names", _boom)
+    got = kg_growth(
+        ray.data.from_arrow(pages_tbl), KGConfig(cc_mode="distributed")
     ).to_pandas()
     pd.testing.assert_frame_equal(
         got.reset_index(drop=True), want.reset_index(drop=True),
@@ -266,24 +291,6 @@ def test_dedup_pages_by_url(ray_session):
     assert len(out2) == 10
     assert out2[out2.url == "https://x.test/3"].text.iloc[0] == "new 3"
     assert out2[out2.url == "https://x.test/5"].text.iloc[0] == "old 5"
-
-
-def test_actor_pool_kernel_mode(ray_session):
-    """kernel_mode='actors' (the model-loading deployment shape) gives
-    identical triples to the default task mode."""
-    import ray
-
-    pages_tbl = generate_pages_table(20, seed=33)
-    tasks = _ray_triples(pages_tbl, KGConfig())
-    actors = build_kg(
-        ray.data.from_arrow(pages_tbl),
-        KGConfig(kernel_mode="actors", kernel_concurrency=2),
-    ).to_pandas()
-    actor_set = {
-        (r.subj, r.pred, r.obj, int(r.block_id), float(r.weight))
-        for r in actors.itertuples()
-    }
-    assert actor_set == set(tasks)
 
 
 def test_canonical_tiebreak_parity_driver_vs_distributed(ray_session):

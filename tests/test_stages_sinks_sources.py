@@ -156,8 +156,10 @@ import pytest as _pytest
         },
         {"unifier": "naive", "with_corefs": False},
         {"dynamic_window": 8, "dynamic_overlap": 2},
+        {"with_corefs": False},
+        {"dynamic_blocks_unit": "paragraphs", "with_relations": True},
     ],
-    ids=["default", "full", "naive", "dynamic"],
+    ids=["default", "full", "naive", "dynamic", "no-corefs", "paragraphs-relations"],
 )
 def test_granular_pipeline_matches_fused(ray_session, doc_kwargs):
     """The composable per-step chain (explicit Arrow columns between
