@@ -47,12 +47,9 @@ def _bb_key(band_col: pa.ChunkedArray, bucket_col: pa.ChunkedArray) -> pa.Array:
 
 
 def _read_documents(sf_dir: str, columns: list[str]) -> Dataset:
-    from renard_ray.ops.relational import clean_schema
+    from renard_ray.ops.relational import read_table
 
-    path = f"{sf_dir}/documents.parquet"
-    return ray.data.read_parquet(
-        path, columns=columns, schema=clean_schema(path, columns)
-    )
+    return read_table(f"{sf_dir}/documents.parquet", columns)
 
 
 def _normalize(t: str | None) -> str:
@@ -1005,13 +1002,9 @@ def embedding_near_dup_pairs(
     candidates, cosine verifies them — linear shuffle volume, recall <
     1.  At a threshold like 0.45 SRP needs more tables than brute force
     costs, which is why it is not the default here."""
-    from renard_ray.ops.relational import clean_schema
+    from renard_ray.ops.relational import read_table
 
-    _ep = f"{sf_dir}/embeddings.parquet"
-    emb = ray.data.read_parquet(
-        _ep, columns=["vec_id", "embedding"],
-        schema=clean_schema(_ep, ["vec_id", "embedding"]),
-    )
+    emb = read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
     if mode == "srp":
         from renard_ray.ops.relational import _join_parts
 

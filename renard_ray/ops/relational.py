@@ -6,11 +6,13 @@ exactly (the driver hash-compares values after sorting columns by
 name).
 
 Scale design notes (these run on 100 TB inputs unchanged):
-- reads prune columns at the scan (``read_parquet(columns=[...])``);
+- reads go through ``read_table``: columns pruned at the scan, and a
+  single one-row-group file read by one Ray task, not an execution;
 - joins put the SMALL side on the right / broadcast it via ``ray.put``
   when it fits (nation/region), and use hash-partitioned
   ``Dataset.join`` for big-big joins;
-- aggregates go through Ray Data's hash-shuffle groupby;
+- aggregates go through the house two-phase ``hash_aggregate``
+  (``ops/hashagg.py``: Ray tasks over the input's blocks);
 - money/quantity aggregates are computed in EXACT integer cents
   (per-row ``round(x*100)`` then integer sums), so results are
   bit-identical regardless of summation order — float sums over
@@ -41,11 +43,22 @@ from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
 _HALF_AWAY = "half_towards_infinity"  # = DuckDB ROUND(double) tie-break
 
 
-def clean_schema(path: str, columns: list[str] | None = None) -> pa.Schema | None:
-    """Metadata-free (hashable) read schema for ``read_parquet`` — the
-    pandas metadata blob on the file schema otherwise rides into every
-    block and defeats Ray's schema dedup at the READ operator itself.
-    ``path`` may be a file or a directory of parquet files."""
+@ray.remote
+def _read_small_file(path: str, columns: list[str] | None) -> pa.Table:
+    import pyarrow.parquet as pq
+
+    return pq.read_table(path, columns=columns).replace_schema_metadata(None)
+
+
+def read_table(path: str, columns: list[str] | None = None) -> Dataset:
+    """Read a Parquet file or directory, pruned to ``columns`` and
+    planned from the (first) file's footer.  One file of one row group
+    of at most ``target_max_block_size`` bytes is one Ray task and one
+    block, as ``read_parquet`` would cut it, but with no Ray Data
+    execution and no driver-side fragment sampling; anything else goes
+    through ``read_parquet``.  The schema drops its metadata: a pandas
+    blob would ride into every block and defeat Ray's schema dedup.
+    Raises ``KeyError`` for a column the file lacks."""
     import os
 
     import pyarrow.parquet as pq
@@ -53,23 +66,29 @@ def clean_schema(path: str, columns: list[str] | None = None) -> pa.Schema | Non
     f = path
     if os.path.isdir(path):
         cands = sorted(x for x in os.listdir(path) if x.endswith(".parquet"))
-        if not cands:
-            return None
-        f = os.path.join(path, cands[0])
+        f = os.path.join(path, cands[0]) if cands else None
     try:
-        sch = pq.read_schema(f).remove_metadata()
+        pf = pq.ParquetFile(f) if f else None
     except OSError:
-        return None
+        pf = None
+    if pf is None:
+        return ray.data.read_parquet(path, columns=columns)
+    sch = pf.schema_arrow.remove_metadata()
     if columns:
         sch = pa.schema([sch.field(c) for c in columns])
-    return sch
+    meta = pf.metadata
+    if (
+        f == path
+        and meta.num_row_groups == 1
+        and meta.row_group(0).total_byte_size
+        <= ray.data.DataContext.get_current().target_max_block_size
+    ):
+        return ray.data.from_arrow_refs([_read_small_file.remote(path, columns)])
+    return ray.data.read_parquet(path, columns=columns, schema=sch)
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> Dataset:
-    path = f"{sf_dir}/{table}.parquet"
-    return ray.data.read_parquet(
-        path, columns=columns, schema=clean_schema(path, columns)
-    )
+    return read_table(f"{sf_dir}/{table}.parquet", columns)
 
 
 def _join_parts(sf_dir: str, table: str = "lineitem", cpu_floor: bool = True) -> int:
@@ -145,6 +164,12 @@ def _ratio_round(num: pa.ChunkedArray, den: pa.ChunkedArray) -> pa.ChunkedArray:
 _BCAST_ROW_LIMIT = 4_000_000  # ~32 MB of int64 keys in plasma
 
 
+@ray.remote(num_cpus=0)
+def _block_shape(t: pa.Table) -> tuple[int, int]:
+    """(rows, columns) of one block, probed where the block lives."""
+    return t.num_rows, t.num_columns
+
+
 def drop_empty_blocks(ds: Dataset) -> Dataset | None:
     """Strip zero-column empty blocks from a dataset.
 
@@ -163,27 +188,34 @@ def drop_empty_blocks(ds: Dataset) -> Dataset | None:
     with tiny remote tasks (no driver fetch of block data), and
     rebuilds the dataset from the nonempty block refs.  Returns None
     when every block is empty (caller handles the no-rows case)."""
-    mat = ds.materialize()
-    refs = mat.to_arrow_refs()
-
-    @ray.remote(num_cpus=0)
-    def _nrows(t: pa.Table) -> int:
-        return t.num_rows
-
-    counts = ray.get([_nrows.remote(r) for r in refs])
-    keep = [r for r, c in zip(refs, counts) if c > 0]
+    refs = ds.materialize().to_arrow_refs()
+    shapes = ray.get([_block_shape.remote(r) for r in refs])
+    keep = [r for r, (n, _c) in zip(refs, shapes) if n > 0]
     if not keep:
         return None
     return ray.data.from_arrow_refs(keep)
 
 
-def _collect_small(ds: Dataset, limit: int) -> pa.Table | None:
+def _collect_small(
+    ds: Dataset, limit: int, columns: list[str] | None = None
+) -> pa.Table | None:
     """Materialize ``ds`` into one Arrow table iff it has <= ``limit``
-    rows; None past the budget (caller takes the shuffle path)."""
+    rows; None past the budget (caller takes the shuffle path).
+    ``columns`` are selected on the fetched blocks, so an already
+    materialized ``ds`` (a small-file ``read_table``, a probed side)
+    is not run through a Project execution first."""
     mat = ds.materialize()
     if mat.count() > limit:
         return None
     tabs = ray.get(mat.to_arrow_refs())
+    if columns is not None:
+        # an empty block may carry a stale or 0-column schema; it holds
+        # no rows, so it is dropped rather than projected
+        tabs = [
+            t.select(columns)
+            for t in tabs
+            if t.num_rows or set(columns) <= set(t.column_names)
+        ]
     nonempty = [t for t in tabs if t.num_rows]
     if nonempty:
         return pa.concat_tables(nonempty).combine_chunks()
@@ -252,12 +284,7 @@ def _scrub_schemaless(ds: Dataset) -> Dataset | None:
     no block has a schema at all."""
     mat = ds.materialize()
     refs = mat.to_arrow_refs()
-
-    @ray.remote(num_cpus=0)
-    def _meta(t: pa.Table) -> tuple:
-        return (t.num_rows, t.num_columns)
-
-    metas = ray.get([_meta.remote(r) for r in refs])
+    metas = ray.get([_block_shape.remote(r) for r in refs])
     nonempty = [r for r, (n, _c) in zip(refs, metas) if n > 0]
     if nonempty:
         if len(nonempty) == len(refs):
@@ -283,7 +310,7 @@ def broadcast_semi_join(
     set when it fits ``limit`` rows, else hash-join fallback."""
     right_on = right_on or on
     limit = _BCAST_ROW_LIMIT if limit is None else limit
-    keys_tab = _collect_small(right.select_columns([right_on]), limit)
+    keys_tab = _collect_small(right, limit, [right_on])
     if keys_tab is not None:
         # drop null keys: index_in(null, set containing null) returns a
         # VALID index, which would keep null-key left rows in semi mode
@@ -357,7 +384,7 @@ def broadcast_lookup_join(
     import logging
 
     limit = _BCAST_ROW_LIMIT if limit is None else limit
-    right_tab = _collect_small(right.select_columns([right_on] + payload), limit)
+    right_tab = _collect_small(right, limit, [right_on] + payload)
     if right_tab is not None:
         # a null right KEY never matches under SQL inner-join semantics
         # but WOULD match null probes via index_in — drop such rows
@@ -1186,18 +1213,8 @@ def doc_embedding_join(sf_dir: str) -> Dataset:
     """Cross-modal join: documents x embeddings (doc_id = vec_id) ->
     per-label doc stats.  The embeddings table is the small side here;
     still a hash join (both sides grow with the corpus)."""
-    import ray as _ray
-
-    docs = _ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["doc_id", "n_chars"],
-        schema=clean_schema(f"{sf_dir}/documents.parquet", ["doc_id", "n_chars"]),
-    )
-    emb = _ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet",
-        columns=["vec_id", "label"],
-        schema=clean_schema(f"{sf_dir}/embeddings.parquet", ["vec_id", "label"]),
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
+    emb = _read(sf_dir, "embeddings", ["vec_id", "label"])
     joined = docs.join(
         emb,
         join_type="inner",
@@ -1222,13 +1239,7 @@ def doc_embedding_join(sf_dir: str) -> Dataset:
 def prolific_sources(sf_dir: str, min_docs: int = 20, min_avg_chars: int = 200) -> Dataset:
     """Groupby + HAVING: sources with enough docs and long-enough
     average documents (post-aggregation predicate)."""
-    import ray as _ray
-
-    docs = _ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet",
-        columns=["source", "n_chars"],
-        schema=clean_schema(f"{sf_dir}/documents.parquet", ["source", "n_chars"]),
-    )
+    docs = _read(sf_dir, "documents", ["source", "n_chars"])
     agg = _hagg_auto(docs, "source", [('', 'count_all', 'n_docs'), ('n_chars', 'sum', '_total_chars')])
 
     def having(batch: pa.Table) -> pa.Table:

@@ -23,13 +23,9 @@ from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
 
 
 def _read_embeddings(sf_dir: str) -> Dataset:
-    from renard_ray.ops.relational import clean_schema
+    from renard_ray.ops.relational import read_table
 
-    path = f"{sf_dir}/embeddings.parquet"
-    return ray.data.read_parquet(
-        path, columns=["vec_id", "embedding"],
-        schema=clean_schema(path, ["vec_id", "embedding"]),
-    )
+    return read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
 
 
 

@@ -291,14 +291,10 @@ def stratified_sample(sf_dir: str, key: str = "source", n: int = 5) -> Dataset:
     prune before the shuffle, vectorized reduce-side pick) — no
     per-group ``map_groups`` Python, so many tiny groups pay no
     per-group framework cost."""
-    import ray as _ray
-
     from renard_ray.ops.hashagg import hash_topk
-    from renard_ray.ops.relational import clean_schema
+    from renard_ray.ops.relational import read_table
 
-    path = f"{sf_dir}/documents.parquet"
-    cols = ["doc_id", key, "n_chars"]
-    ds = _ray.data.read_parquet(path, columns=cols, schema=clean_schema(path, cols))
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", key, "n_chars"])
 
     def add_priority(batch: pa.Table) -> pa.Table:
         pri = [
@@ -354,12 +350,10 @@ def domain_mix_sample(
     import ray as _ray
 
     from renard_ray.ops.hashagg import hash_aggregate, hash_topk
-    from renard_ray.ops.relational import clean_schema
+    from renard_ray.ops.relational import read_table
 
     weight_fn = weight_fn or (lambda s: len(s) % 3 + 1)
-    path = f"{sf_dir}/documents.parquet"
-    cols = ["doc_id", "source"]
-    ds = _ray.data.read_parquet(path, columns=cols, schema=clean_schema(path, cols))
+    ds = read_table(f"{sf_dir}/documents.parquet", ["doc_id", "source"])
 
     def ones(batch: pa.Table) -> pa.Table:
         return pa.table(

@@ -34,11 +34,10 @@ _LANG_PROFILES: dict[str, frozenset[str]] = {
 
 
 def _read_documents(sf_dir: str, columns: list[str] | None = None) -> Dataset:
-    from renard_ray.ops.relational import clean_schema
+    from renard_ray.ops.relational import read_table
 
-    path = f"{sf_dir}/documents.parquet"
     cols = columns or ["doc_id", "text", "lang", "source", "n_chars"]
-    return ray.data.read_parquet(path, columns=cols, schema=clean_schema(path, cols))
+    return read_table(f"{sf_dir}/documents.parquet", cols)
 
 
 def token_stats(sf_dir: str) -> Dataset:

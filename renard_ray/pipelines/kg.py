@@ -71,16 +71,14 @@ class KGConfig:
 
 
 def read_pages(path: str, columns: list[str] | None = None) -> Dataset:
-    from renard_ray.ops.relational import clean_schema
+    from renard_ray.ops.relational import read_table
 
     cols = columns or ["url", "warc_ts", "html", "text", "lang"]
-    # metadata-free schema: pandas parquet metadata makes block schemas
-    # unhashable, defeating Ray's schema dedup (warn spam at the read)
     try:
-        sch = clean_schema(path, cols)
+        return read_table(path, cols)
     except KeyError:
-        sch = None  # file lacks some requested column; let the read resolve
-    return ray.data.read_parquet(path, columns=cols, schema=sch)
+        # the file lacks some requested column; let the read resolve
+        return ray.data.read_parquet(path, columns=cols)
 
 
 _TS_OFFSET = 1 << 62  # keeps encoded timestamps non-negative (NULL -> 0)

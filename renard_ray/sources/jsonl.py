@@ -88,7 +88,7 @@ def documents_jsonl_roundtrip(sf_dir: str, out_dir: str | None = None) -> Datase
         out_dir = f"/tmp/renard_jsonl_{tag}"
     shutil.rmtree(out_dir, ignore_errors=True)
     # the house documents read (strips the pandas schema-metadata blob
-    # at the READ operator — relational.clean_schema rationale)
+    # at the READ operator — relational.read_table rationale)
     from renard_ray.ops.textstats import _read_documents
 
     write_documents_jsonl(_read_documents(sf_dir), out_dir)

@@ -182,7 +182,7 @@ def edges_batch(batch: pa.Table, cfg: DocConfig | None = None) -> pa.Table:
             edge_blocks=edge_blocks,
             is_dynamic=is_dynamic,
         )
-        rows = emit_rows(res, url)
+        rows = emit_rows(res, url, include_url=cfg.emit_url)
         for k in out:
             out[k].extend(rows[k])
     return edges_table(out)

@@ -1,3 +1,4 @@
+import logging
 import os
 import sys
 
@@ -25,3 +26,34 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+class _Executions(logging.Handler):
+    """Counts Ray Data executions started while installed (one
+    "Starting execution of Dataset" line of the ``ray.data`` logger per
+    streaming execution)."""
+
+    def __init__(self):
+        super().__init__(level=logging.INFO)
+        self.n = 0
+
+    def emit(self, record):
+        self.n += record.getMessage().startswith("Starting execution of Dataset")
+
+    def __enter__(self):
+        self.logger = logging.getLogger("ray.data")
+        self.level = self.logger.level
+        self.logger.setLevel(logging.INFO)
+        self.logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc):
+        self.logger.removeHandler(self)
+        self.logger.setLevel(self.level)
+
+
+@pytest.fixture
+def executions():
+    """``with executions() as ex:`` counts the Ray Data executions the
+    block starts in ``ex.n``."""
+    return _Executions

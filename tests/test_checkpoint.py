@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import logging
 import os
 import shutil
 
@@ -238,37 +237,13 @@ def test_incremental_ingest(ray_session, tmp_path):
     assert ("s2", "committed") in tokens and ("s3", "committed") in tokens
 
 
-class _Executions(logging.Handler):
-    """Counts Ray Data executions started while installed (one
-    "Starting execution of Dataset" line of the ``ray.data`` logger per
-    streaming execution)."""
-
-    def __init__(self):
-        super().__init__(level=logging.INFO)
-        self.n = 0
-
-    def emit(self, record):
-        self.n += record.getMessage().startswith("Starting execution of Dataset")
-
-    def __enter__(self):
-        self.logger = logging.getLogger("ray.data")
-        self.level = self.logger.level
-        self.logger.setLevel(logging.INFO)
-        self.logger.addHandler(self)
-        return self
-
-    def __exit__(self, *exc):
-        self.logger.removeHandler(self)
-        self.logger.setLevel(self.level)
-
-
 def _graph_table(path):
     import pyarrow.dataset as pads
 
     return pads.dataset(path, format="parquet", partitioning="hive").to_table()
 
 
-def test_build_and_sink_start_one_execution(ray_session, tmp_path):
+def test_build_and_sink_start_one_execution(ray_session, tmp_path, executions):
     """build_kg then write_graph on an unmaterialized pages dataset runs
     the kernel as the only Ray Data execution; the hive-read graph
     equals the triples, each row under its subject's bucket."""
@@ -279,7 +254,7 @@ def test_build_and_sink_start_one_execution(ray_session, tmp_path):
     pages_path = str(tmp_path / "pages")
     graph = str(tmp_path / "graph")
     write_pages_parquet(pages_path, 60, seed=13, rows_per_file=20)
-    with _Executions() as ex:
+    with executions() as ex:
         triples = build_kg(read_pages(pages_path), KGConfig())
         write_graph(triples, graph, num_buckets=8)
     assert ex.n == 1
@@ -297,7 +272,9 @@ def test_build_and_sink_start_one_execution(ray_session, tmp_path):
     assert bucket_of(pa.chunked_array([["Elizabeth"]]), 8).type == pa.int32()
 
 
-def test_checkpoint_update_one_execution_and_manifest_metrics(ray_session, tmp_path):
+def test_checkpoint_update_one_execution_and_manifest_metrics(
+    ray_session, tmp_path, executions
+):
     """An update that lands 1 new shard of 3 starts exactly one Ray Data
     execution (the new shard's kernel), and every manifest's metrics
     equal the sums of the METRIC rows in its shard's Parquet files."""
@@ -316,7 +293,7 @@ def test_checkpoint_update_one_execution_and_manifest_metrics(ray_session, tmp_p
     assert (rep["shards_run"], rep["shards_skipped"]) == (2, 0)
 
     shutil.move(landing, pages_path)
-    with _Executions() as ex:
+    with executions() as ex:
         triples, rep = run_kg_checkpointed(pages_path, ckpt, cfg, n_shards=3)
         write_graph(triples, str(tmp_path / "graph"), num_buckets=8)
     assert ex.n == 1

@@ -1330,41 +1330,20 @@ def test_kmeans_fit_more_blocks_than_combine_parts(ray_session):
     assert got.dtype == np.int64 and (got == want).all()
 
 
-def test_kmeans_fit_executions_independent_of_rounds(ray_session):
+def test_kmeans_fit_executions_independent_of_rounds(ray_session, executions):
     """Lloyd rounds run as tasks over object-store blocks: a fit of an
     unmaterialized input starts one Ray Data execution, to materialize
-    it, at n_iter=2 and at n_iter=10 alike (counted from the
-    ``ray.data`` logger's "Starting execution of Dataset")."""
-    import logging
-
+    it, at n_iter=2 and at n_iter=10 alike."""
     import ray as _ray
 
     from renard_ray.ops.kmeans import kmeans_fit
 
-    class Counter(logging.Handler):
-        def __init__(self):
-            super().__init__(level=logging.INFO)
-            self.n = 0
-
-        def emit(self, record):
-            self.n += record.getMessage().startswith("Starting execution of Dataset")
-
     t, _ = _blob_table_and_oracle()
-    logger = logging.getLogger("ray.data")
-    level = logger.level
-    logger.setLevel(logging.INFO)
     counts = {}
-    try:
-        for n_iter in (2, 10):
-            h = Counter()
-            logger.addHandler(h)
-            try:
-                kmeans_fit(_ray.data.from_arrow(t).repartition(5), k=3, n_iter=n_iter)
-            finally:
-                logger.removeHandler(h)
-            counts[n_iter] = h.n
-    finally:
-        logger.setLevel(level)
+    for n_iter in (2, 10):
+        with executions() as ex:
+            kmeans_fit(_ray.data.from_arrow(t).repartition(5), k=3, n_iter=n_iter)
+        counts[n_iter] = ex.n
     assert counts[2] == counts[10] == 1, counts
 
 

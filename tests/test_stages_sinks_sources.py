@@ -191,6 +191,36 @@ def test_granular_pipeline_matches_fused(ray_session, doc_kwargs):
     assert f == g
 
 
+def test_granular_stage_rows_carry_url(ray_session):
+    """Under ``DocConfig(emit_url=True)`` the granular chain's stage
+    rows equal the fused kernel's, url included (the fused kernel's
+    per-batch METRIC rows aside).  Triples carry no url, so the
+    triple-level parity test above cannot see this column."""
+    import ray
+
+    from renard_ray.pipelines.kg import KGConfig, pages_to_stage_rows
+    from renard_ray.sources.pages import generate_pages_table
+    from renard_ray.stages.granular import granular_stage_rows
+    from renard_ray.textproc.document import METRIC, DocConfig
+
+    pages_tbl = generate_pages_table(12, seed=29)
+    doc_cfg = DocConfig(emit_url=True)
+    fused = pages_to_stage_rows(
+        ray.data.from_arrow(pages_tbl), KGConfig(doc=doc_cfg)
+    ).to_pandas()
+    granular = granular_stage_rows(ray.data.from_arrow(pages_tbl), doc_cfg).to_pandas()
+    cols = ["subj", "pred", "obj", "block_id", "weight", "polarity", "url"]
+
+    def rows(df):
+        df = df[df["pred"] != METRIC][cols]
+        return sorted(map(tuple, df.itertuples(index=False)))
+
+    want = rows(fused)
+    assert len(want) > 0
+    assert len({r[-1] for r in want}) > 1
+    assert rows(granular) == want
+
+
 def test_ntriples_sink_roundtrip(ray_session, tmp_path):
     """N-Triples export: IRIs percent-encode unsafe names, weights
     reify under deterministic statement IRIs, shards are
