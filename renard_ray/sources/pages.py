@@ -7,7 +7,7 @@ Schema (``BASELINE.json input_hint``)::
 
 The narrative generator mirrors the shape of the reference's E2E
 fixture (Pride-&-Prejudice chapters,
-``/root/reference/renard/resources/novels/``, used by
+``renard/resources/novels/`` of the reference, used by
 ``tests/test_pipeline.py:56-77``): paragraphs of templated sentences
 mentioning characters from a fixed cast with titles, first/last names
 and hypocorisms, plus gendered pronouns, quoted dialogue with speaker
@@ -23,11 +23,23 @@ skewed-key handling downstream.
 from __future__ import annotations
 
 import datetime as _dt
+import glob
+import os
 import random
+from pathlib import Path
 
 import pyarrow as pa
 
 from renard_ray.textproc.html import wrap_text_as_html
+
+# The reference's Pride & Prejudice fixture, one ``chapter_*.txt`` per
+# chapter, in the reference implementation's checkout:
+# ``$RENARD_REFERENCE_DIR``, else a ``reference`` directory beside this
+# repository's checkout.
+PNP_DIR = os.path.join(
+    os.environ.get("RENARD_REFERENCE_DIR") or Path(__file__).resolve().parents[3] / "reference",
+    "renard", "resources", "novels", "pride_and_prejudice",
+)
 
 # (title, first, last, hypocorisms, gender 'M'/'F')
 CAST: list[tuple[str, str, str, list[str], str]] = [
@@ -180,3 +192,25 @@ def write_pages_parquet(
         hi = min(n_pages, lo + rows_per_file)
         pq.write_table(table.slice(lo, hi - lo), f"{path}/part-{f:05d}.parquet")
     return path
+
+
+def pnp_pages_table() -> pa.Table:
+    """The reference's Pride & Prejudice fixture (``PNP_DIR``) as a
+    pages table, one page per chapter, in chapter-file order."""
+    files = sorted(glob.glob(f"{PNP_DIR}/chapter_*.txt"))
+    texts = []
+    for f in files:
+        with open(f, encoding="utf-8") as fh:
+            texts.append(fh.read())
+    n = len(files)
+    return pa.table(
+        {
+            "url": pa.array(
+                [f"https://fixture.test/pnp/{os.path.basename(f)}" for f in files],
+                pa.string(),
+            ),
+            "warc_ts": pa.array([None] * n, pa.timestamp("us")),
+            "text": pa.array(texts, pa.large_string()),
+            "lang": pa.array(["eng"] * n, pa.string()),
+        }
+    )

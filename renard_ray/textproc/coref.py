@@ -16,6 +16,8 @@ appearance; the chain's first mention is the name mention itself.
 
 from __future__ import annotations
 
+import bisect
+
 from renard_ray.resources.lexicons import (
     Gender,
     is_female_pronoun,
@@ -54,30 +56,34 @@ def resolve_corefs(
 
     ent_by_pos = sorted(persons, key=lambda e: e.start)
     ends = [e.end for e in ent_by_pos]
+    surf_by_pos = [e.surface(tokens) for e in ent_by_pos]
 
     inside = [False] * len(tokens)
     for e in persons:
         for i in range(e.start, e.end):
             inside[i] = True
 
-    import bisect
+    # each distinct token classified once per document: the gender a
+    # pronoun asks for, None for a non-pronoun
+    wants: dict[str, Gender | None] = {}
+    for tok in set(tokens):
+        if is_male_pronoun(tok, lang):
+            wants[tok] = Gender.MALE
+        elif is_female_pronoun(tok, lang):
+            wants[tok] = Gender.FEMALE
+        else:
+            wants[tok] = None
 
     for i, tok in enumerate(tokens):
-        if inside[i]:
-            continue
-        if is_male_pronoun(tok, lang):
-            want = Gender.MALE
-        elif is_female_pronoun(tok, lang):
-            want = Gender.FEMALE
-        else:
+        want = wants[tok]
+        if want is None or inside[i]:
             continue
         # nearest preceding mention with compatible gender
         k = bisect.bisect_right(ends, i) - 1
         while k >= 0:
-            ent = ent_by_pos[k]
-            if i - ent.end > max_dist:
+            if i - ends[k] > max_dist:
                 break
-            surf = ent.surface(tokens)
+            surf = surf_by_pos[k]
             g = name_gender[surf]
             if g == want or g == Gender.UNKNOWN:
                 chains[surf].append((i, i + 1))

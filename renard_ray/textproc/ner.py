@@ -79,49 +79,42 @@ def rule_ner_tags(
        never start a span.
     """
     titles = ALL_TITLES.get(lang, frozenset())
-    sent_starts = {0}
-    for b in sent_bounds[:-1]:
-        sent_starts.add(b)
+    sent_starts = {0, *sent_bounds[:-1]}
+
+    # each distinct token classified once per document: (capitalized
+    # word, capitalized non-stopword, capitalized non-stopword
+    # non-title, title)
+    kinds: dict[str, tuple[bool, bool, bool, bool]] = {}
+    for tok in set(tokens):
+        low = tok.lower()
+        cap = _is_capitalized_word(tok)
+        name = cap and low not in STOPWORDS
+        title = low in titles
+        kinds[tok] = (cap, name, name and not title, title)
+    at = [kinds[tok] for tok in tokens]
 
     # pass 1: in-doc proper-noun gazetteer
-    evidence: set[str] = set()
-    for i, tok in enumerate(tokens):
-        if i not in sent_starts and _is_capitalized_word(tok):
-            if tok.lower() not in STOPWORDS and tok.lower() not in titles:
-                evidence.add(tok)
+    evidence = {tokens[i] for i, k in enumerate(at) if k[2] and i not in sent_starts}
 
     tags = ["O"] * len(tokens)
     i = 0
     n = len(tokens)
     while i < n:
-        tok = tokens[i]
-        low = tok.lower()
-        is_title = low in titles
-        starts_sentence = i in sent_starts
+        _, _, plain, title = at[i]
 
-        if is_title and i + 1 < n and _is_capitalized_word(tokens[i + 1]):
+        if title and i + 1 < n and at[i + 1][0]:
             tags[i] = "B-PER"
             j = i + 1
-            while j < n and _is_capitalized_word(tokens[j]) and tokens[j].lower() not in STOPWORDS:
+            while j < n and at[j][1]:
                 tags[j] = "I-PER"
                 j += 1
             i = j
             continue
 
-        if (
-            _is_capitalized_word(tok)
-            and low not in STOPWORDS
-            and not is_title
-            and (not starts_sentence or tok in evidence)
-        ):
+        if plain and (i not in sent_starts or tokens[i] in evidence):
             tags[i] = "B-PER"
             j = i + 1
-            while (
-                j < n
-                and _is_capitalized_word(tokens[j])
-                and tokens[j].lower() not in STOPWORDS
-                and tokens[j].lower() not in titles
-            ):
+            while j < n and at[j][2]:
                 tags[j] = "I-PER"
                 j += 1
             i = j

@@ -18,25 +18,31 @@ from renard_ray.resources.lexicons import NEGATIVE_WORDS, POSITIVE_WORDS
 _NEGATORS = frozenset({"not", "no", "never", "n't", "neither", "nor"})
 
 
-def sentence_polarity(sentence_tokens: list[str]) -> float:
-    score = 0.0
-    prev = ""  # the previous token, lower-cased
-    for tok in sentence_tokens:
-        low = tok.lower()
-        val = 0.0
-        if low in POSITIVE_WORDS:
-            val = 1.0
-        elif low in NEGATIVE_WORDS:
-            val = -1.0
-        if val != 0.0 and prev in _NEGATORS:
-            val = -val
-        score += val
-        prev = low
-    if score == 0.0:
-        return 0.0
-    # VADER-style normalization: score / sqrt(score^2 + alpha)
-    return score / math.sqrt(score * score + 15.0)
-
-
 def sentence_polarities(sentences: list[list[str]]) -> list[float]:
-    return [sentence_polarity(s) for s in sentences]
+    """One polarity per sentence. Each distinct token is classified once
+    per call: (valence, negator), both read from its lower-cased form."""
+    kinds: dict[str, tuple[float, bool]] = {}
+    out: list[float] = []
+    for sentence_tokens in sentences:
+        score = 0.0
+        negated = False  # the previous token is a negator
+        for tok in sentence_tokens:
+            kind = kinds.get(tok)
+            if kind is None:
+                low = tok.lower()
+                val = 1.0 if low in POSITIVE_WORDS else -1.0 if low in NEGATIVE_WORDS else 0.0
+                kind = kinds[tok] = (val, low in _NEGATORS)
+            val, negator = kind
+            if val != 0.0:
+                score += -val if negated else val
+            negated = negator
+        if score == 0.0:
+            out.append(0.0)
+        else:
+            # VADER-style normalization: score / sqrt(score^2 + alpha)
+            out.append(score / math.sqrt(score * score + 15.0))
+    return out
+
+
+def sentence_polarity(sentence_tokens: list[str]) -> float:
+    return sentence_polarities([sentence_tokens])[0]

@@ -24,7 +24,7 @@ Deliberate, documented divergences from the reference implementation
   Python ``set``, which is run-nondeterministic); ties in majority votes
   break deterministically.
 - The negative rule removes the *first edge of each shortest path*
-  between the offending pair (paths are materialized before removal).
+  between the offending pair (all paths are found before any removal).
   This matches the reference's actual runtime behavior: it passes
   node-paths to ``nx.Graph.remove_edges_from``, which interprets a
   path ``[a, b, c]`` as the edge ``(a, b)`` with data ``c`` — i.e.
@@ -35,6 +35,11 @@ Deliberate, documented divergences from the reference implementation
   negative rules (the reference's negative rule compares last names
   case-sensitively, inconsistently with its positive rule).
 
+The alias graph is a plain adjacency map (name -> set of names), not a
+graph-library object: one breadth-first search from the second name
+finds the first edges of all shortest paths, and one depth-first walk
+finds the connected components.
+
 This module is pure per-document Python shared by the distributed stage
 and the oracle.
 """
@@ -44,8 +49,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-
-import networkx as nx
 
 from renard_ray.resources.hypocorisms import HypocorismGazetteer, shared_gazetteer
 from renard_ray.resources.lexicons import (
@@ -222,15 +225,47 @@ def _infer_name_gender(
     return Gender.MALE if male > female else Gender.FEMALE
 
 
-def _cut_shortest_paths(G: nx.Graph, a: str, b: str) -> None:
+def _components(adj: dict[str, set[str]]) -> list[set[str]]:
+    """Connected components of an undirected adjacency map, each found
+    by one iterative depth-first walk."""
+    seen: set[str] = set()
+    comps: list[set[str]] = []
+    for root in adj:
+        if root in seen:
+            continue
+        comp = {root}
+        stack = [root]
+        while stack:
+            for nbr in adj[stack.pop()]:
+                if nbr not in comp:
+                    comp.add(nbr)
+                    stack.append(nbr)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def _cut_shortest_paths(adj: dict[str, set[str]], a: str, b: str) -> None:
     """Remove the first edge of every shortest path between a and b
-    (see module docstring: this is the reference's effective behavior)."""
-    try:
-        paths = list(nx.all_shortest_paths(G, source=a, target=b))
-    except (nx.NetworkXNoPath, nx.NodeNotFound):
+    (see module docstring: this is the reference's effective behavior).
+    One breadth-first search from ``b`` gives each node's distance to
+    ``b``; the first edges of the shortest a-b paths are the edges
+    ``(a, x)`` with ``dist(x) == dist(a) - 1``. No path, no cut."""
+    dist = {b: 0}
+    frontier = [b]
+    while frontier and a not in dist:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    if a not in dist:
         return
-    edges = {(p[0], p[1]) for p in paths if len(p) >= 2}
-    G.remove_edges_from(edges)
+    for x in [x for x in adj[a] if dist.get(x) == dist[a] - 1]:
+        adj[a].discard(x)
+        adj[x].discard(a)
 
 
 def graph_rules_unify(
@@ -258,8 +293,12 @@ def graph_rules_unify(
             return _strip_leading_determiner(name, lang)
         return name
 
-    G: nx.Graph = nx.Graph()
-    G.add_nodes_from(names)
+    # the alias graph: name -> adjacent names
+    adj: dict[str, set[str]] = {n: set() for n in names}
+
+    def link(a: str, b: str) -> None:
+        adj[a].add(b)
+        adj[b].add(a)
 
     # per-name forms, once per document: prepped and title-free (the
     # reference's title-removal reformat, ``character_unification.py:380-396``),
@@ -285,17 +324,17 @@ def graph_rules_unify(
         # prepped, then on the title-free forms
         (p1, u1), (p2, u2) = related[n1], lowered[n2]
         if p2 in p1 or u2 in u1:
-            G.add_edge(n1, n2)
+            link(n1, n2)
             continue
         if last[n1] and last[n1] == last[n2]:
-            G.add_edge(n1, n2)
+            link(n1, n2)
             continue
         if first[n1] and first[n1] == first[n2]:
-            G.add_edge(n1, n2)
+            link(n1, n2)
             continue
         if chains_of is not None and link_corefs_mentions:
             if chains_of.get(n1) and chains_of.get(n1) == chains_of.get(n2):
-                G.add_edge(n1, n2)
+                link(n1, n2)
 
     genders = {
         n: _infer_name_gender(n, chains_of, chain_pronouns, lang) for n in names
@@ -303,7 +342,7 @@ def graph_rules_unify(
 
     # negative rules (``character_unification.py:299-327``); cuts only
     # split components, so a pair in two components has no path to cut
-    comp0 = {n: ci for ci, comp in enumerate(nx.connected_components(G)) for n in comp}
+    comp0 = {n: ci for ci, comp in enumerate(_components(adj)) for n in comp}
     for n1, n2 in combinations(names, 2):
         if comp0[n1] != comp0[n2]:
             continue
@@ -314,15 +353,15 @@ def graph_rules_unify(
             and last[n1] == last[n2]
             and first[n1] != first[n2]
         ):
-            _cut_shortest_paths(G, n1, n2)
+            _cut_shortest_paths(adj, n1, n2)
             continue
         g1, g2 = genders[n1], genders[n2]
         if g1 != g2 and g1 != Gender.UNKNOWN and g2 != Gender.UNKNOWN:
-            _cut_shortest_paths(G, n1, n2)
+            _cut_shortest_paths(adj, n1, n2)
 
     # components -> characters with majority gender
     # (``character_unification.py:330-342``)
-    comps = sorted(nx.connected_components(G), key=lambda c: sorted(c))
+    comps = sorted(_components(adj), key=lambda c: sorted(c))
     comp_of = {n: ci for ci, comp in enumerate(comps) for n in comp}
     comp_mentions: list[list[Mention]] = [[] for _ in comps]
     for m in mentions:

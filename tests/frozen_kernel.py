@@ -6,7 +6,13 @@ Verbatim copies of the nested-scan versions of ``_pair_edges``,
 ``extract_sentence_relations`` (``textproc/relation.py``),
 ``graph_rules_unify`` and ``assign_coreference_mentions``
 (``textproc/unify.py``), with the private helpers they call, taken
-before those functions were rewritten as sorted sweeps. The golden
+before those functions were rewritten as sorted sweeps;
+``graph_rules_unify`` still builds its alias graph with networkx, as
+the live one did before it moved to an adjacency map. Then the
+per-token versions of ``rule_ner_tags`` (``textproc/ner.py``),
+``resolve_corefs`` (``textproc/coref.py``) and ``sentence_polarity`` /
+``sentence_polarities`` (``textproc/sentiment.py``), taken before each
+distinct token was classified once per document. The golden
 oracle runs the same ``process_document`` as the distributed stage, so
 graph parity cannot catch a slip in the kernel itself;
 ``tests/test_kernel_frozen.py`` compares the live kernel against this
@@ -16,6 +22,7 @@ shared with the live code. Do not edit the function bodies.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import combinations
 
@@ -23,7 +30,11 @@ import networkx as nx
 
 from renard_ray.resources.hypocorisms import HypocorismGazetteer, shared_gazetteer
 from renard_ray.resources.lexicons import (
+    ALL_TITLES,
+    NEGATIVE_WORDS,
+    POSITIVE_WORDS,
     SINGULAR_DETERMINERS,
+    STOPWORDS,
     Gender,
     is_female_pronoun,
     is_male_pronoun,
@@ -475,3 +486,171 @@ def graph_rules_unify(
     ]
     return characters
 
+
+# ------------------------------------------------- tagging, coref, polarity
+# (copied before each distinct token was classified once per document)
+
+
+def _is_capitalized_word(tok: str) -> bool:
+    return len(tok) > 1 and tok[0].isupper() and tok[1:].islower() and tok.isalpha()
+
+
+def rule_ner_tags(
+    tokens: list[str],
+    sent_bounds: list[int],
+    lang: str = "eng",
+) -> list[str]:
+    """Deterministic rule NER producing BIO tags (class ``PER``).
+
+    Rules (two passes over the document):
+    1. Collect an in-document gazetteer of capitalized words seen at a
+       non-sentence-initial position (these are proper-noun evidence).
+    2. Tag runs: a title token (``Mr.`` …) followed by a capitalized
+       word starts a PER span including the title; a capitalized word
+       that is (a) not sentence-initial, or (b) sentence-initial but in
+       the in-doc gazetteer, starts/continues a PER span.  Stopwords
+       never start a span.
+    """
+    titles = ALL_TITLES.get(lang, frozenset())
+    sent_starts = {0}
+    for b in sent_bounds[:-1]:
+        sent_starts.add(b)
+
+    # pass 1: in-doc proper-noun gazetteer
+    evidence: set[str] = set()
+    for i, tok in enumerate(tokens):
+        if i not in sent_starts and _is_capitalized_word(tok):
+            if tok.lower() not in STOPWORDS and tok.lower() not in titles:
+                evidence.add(tok)
+
+    tags = ["O"] * len(tokens)
+    i = 0
+    n = len(tokens)
+    while i < n:
+        tok = tokens[i]
+        low = tok.lower()
+        is_title = low in titles
+        starts_sentence = i in sent_starts
+
+        if is_title and i + 1 < n and _is_capitalized_word(tokens[i + 1]):
+            tags[i] = "B-PER"
+            j = i + 1
+            while j < n and _is_capitalized_word(tokens[j]) and tokens[j].lower() not in STOPWORDS:
+                tags[j] = "I-PER"
+                j += 1
+            i = j
+            continue
+
+        if (
+            _is_capitalized_word(tok)
+            and low not in STOPWORDS
+            and not is_title
+            and (not starts_sentence or tok in evidence)
+        ):
+            tags[i] = "B-PER"
+            j = i + 1
+            while (
+                j < n
+                and _is_capitalized_word(tokens[j])
+                and tokens[j].lower() not in STOPWORDS
+                and tokens[j].lower() not in titles
+            ):
+                tags[j] = "I-PER"
+                j += 1
+            i = j
+            continue
+
+        i += 1
+    return tags
+
+
+def resolve_corefs(
+    tokens: list[str],
+    entities: list[Entity],
+    lang: str = "eng",
+    max_dist: int = 50,
+    character_tag: str = "PER",
+) -> list[list[Span]]:
+    persons = [e for e in entities if e.tag == character_tag]
+    if not persons:
+        return []
+
+    # chains keyed by antecedent surface string, seeded with the first
+    # name mention of that string
+    chain_order: list[str] = []
+    chains: dict[str, list[Span]] = {}
+    name_gender: dict[str, Gender] = {}
+    for ent in persons:
+        surf = ent.surface(tokens)
+        if surf not in chains:
+            chain_order.append(surf)
+            chains[surf] = []
+            name_gender[surf] = Gender(title_gender(parse_name(surf, lang).title, lang))
+        chains[surf].append((ent.start, ent.end))
+
+    ent_by_pos = sorted(persons, key=lambda e: e.start)
+    ends = [e.end for e in ent_by_pos]
+
+    inside = [False] * len(tokens)
+    for e in persons:
+        for i in range(e.start, e.end):
+            inside[i] = True
+
+    import bisect
+
+    for i, tok in enumerate(tokens):
+        if inside[i]:
+            continue
+        if is_male_pronoun(tok, lang):
+            want = Gender.MALE
+        elif is_female_pronoun(tok, lang):
+            want = Gender.FEMALE
+        else:
+            continue
+        # nearest preceding mention with compatible gender
+        k = bisect.bisect_right(ends, i) - 1
+        while k >= 0:
+            ent = ent_by_pos[k]
+            if i - ent.end > max_dist:
+                break
+            surf = ent.surface(tokens)
+            g = name_gender[surf]
+            if g == want or g == Gender.UNKNOWN:
+                chains[surf].append((i, i + 1))
+                break
+            k -= 1
+
+    # only chains that actually corefer (>= 2 mentions) are emitted
+    out = []
+    for surf in chain_order:
+        chain = sorted(chains[surf])
+        if len(chain) >= 2:
+            out.append(chain)
+    return out
+
+
+_NEGATORS = frozenset({"not", "no", "never", "n't", "neither", "nor"})
+
+
+def sentence_polarity(sentence_tokens: list[str]) -> float:
+    score = 0.0
+    prev = ""  # the previous token, lower-cased
+    for tok in sentence_tokens:
+        low = tok.lower()
+        val = 0.0
+        if low in POSITIVE_WORDS:
+            val = 1.0
+        elif low in NEGATIVE_WORDS:
+            val = -1.0
+        if val != 0.0 and prev in _NEGATORS:
+            val = -val
+        score += val
+        prev = low
+    if score == 0.0:
+        return 0.0
+    # VADER-style normalization: score / sqrt(score^2 + alpha)
+    return score / math.sqrt(score * score + 15.0)
+
+
+def sentence_polarities(sentences: list[list[str]]) -> list[float]:
+    return [sentence_polarity(s) for s in sentences]

@@ -1,16 +1,21 @@
 """The per-document kernel steps against their frozen reference copy.
 
 ``frozen_kernel.py`` holds the nested-scan versions of the edge,
-relation, quote-mention, unify and coref-assignment steps; the live
-steps are sorted sweeps over the same inputs. Every test asserts equal
-characters, equal sentence relations and equal EdgeDicts, the latter
-also float-bit for float-bit and in insertion order: a pair visited in
-another order sums its polarities to different bits. No Ray.
+relation, quote-mention, unify and coref-assignment steps, and the
+per-token versions of the NER tagger, the coref resolver and the
+sentence polarities; the live steps are sorted sweeps and
+once-per-distinct-token classifications over the same inputs. Every
+test asserts equal characters, tags, chains, sentence relations and
+EdgeDicts, the latter also float-bit for float-bit and in insertion
+order: a pair visited in another order sums its polarities to different
+bits. Polarities are compared bit for bit too. The unifier's alias-graph
+helpers are checked against networkx itself. No Ray.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import networkx as nx
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frozen_kernel as frozen
@@ -19,9 +24,9 @@ from renard_ray.sources.pages import generate_page_text
 from renard_ray.textproc import graph, relation, unify
 from renard_ray.textproc.coref import resolve_corefs
 from renard_ray.textproc.document import _paragraph_token_blocks
-from renard_ray.textproc.ner import Entity, extract_entities
+from renard_ray.textproc.ner import Entity, bio_to_entities, extract_entities, rule_ner_tags
 from renard_ray.textproc.quotes import Quote, detect_quotes
-from renard_ray.textproc.sentiment import sentence_polarities
+from renard_ray.textproc.sentiment import sentence_polarities, sentence_polarity
 from renard_ray.textproc.speaker import attribute_speakers
 from renard_ray.textproc.tokenize import Tokenized, tokenize
 from renard_ray.textproc.unify import Character, Mention
@@ -291,3 +296,115 @@ def test_are_related_matches_reference_rule():
         for b in names:
             assert gaz.are_related(a, b) == pairwise(a, b)
     assert gaz.are_related("Lizzy", "ELIZABETH") and gaz.are_related("Z", "zed")
+
+
+# ------------------------------------------------ tagging, coref, polarity
+
+
+def _sentences(tokens: list[str], bounds: list[int]) -> list[list[str]]:
+    return [tokens[a:b] for a, b in zip([0, *bounds], bounds)]
+
+
+def _same_tagging(tokens: list[str], bounds: list[int], max_dist: int = 50) -> None:
+    """Tags, chains and polarity bits of one document, live vs frozen."""
+    tags = rule_ner_tags(tokens, bounds)
+    assert tags == frozen.rule_ner_tags(tokens, bounds)
+    entities = bio_to_entities(tags)
+    for tag in ("PER", "LOC"):
+        assert resolve_corefs(
+            tokens, entities, "eng", max_dist, character_tag=tag
+        ) == frozen.resolve_corefs(tokens, entities, "eng", max_dist, character_tag=tag)
+    sentences = _sentences(tokens, bounds)
+    live = [p.hex() for p in sentence_polarities(sentences)]
+    assert live == [p.hex() for p in frozen.sentence_polarities(sentences)]
+    assert [sentence_polarity(s).hex() for s in sentences] == live
+
+
+def test_tagging_matches_frozen_on_long_pages():
+    for seed in range(6):
+        text = _long_page(seed)
+        tok = tokenize(text)
+        tokens = tok.tokens(text)
+        assert any(t != "O" for t in rule_ner_tags(tokens, tok.sent_bounds))
+        _same_tagging(tokens, tok.sent_bounds)
+
+
+# titles, stopwords (some capitalized), capitalized words, pronouns in
+# any case, valence words, negators and punctuation
+_TAG_VOCAB = [
+    "Mr.", "mr.", "MR.", "Mrs.", "Miss", "miss", "Lady", "Sir", "M.",
+    "the", "The", "And", "and", "of", "She", "she", "He", "he", "HIM",
+    "her", "his", "Himself", "herself", "it", "Elizabeth", "Darcy",
+    "Bennet", "London", "Jane", "X", "Ab1", "O'Neil", "happy", "Happy",
+    "bad", "ANGRY", "amiable", "not", "Not", "NEVER", "n't", "nor",
+    "no", ",", ".", "said", "was",
+]
+
+
+@st.composite
+def token_streams(draw):
+    """Tokens from ``_TAG_VOCAB`` with random sentence bounds, so each
+    kind of word also lands at sentence starts."""
+    tokens = draw(st.lists(st.sampled_from(_TAG_VOCAB), max_size=80))
+    n = len(tokens)
+    cuts = draw(st.sets(st.integers(1, max(1, n - 1)), max_size=20)) if n > 1 else set()
+    bounds = sorted(c for c in cuts if c < n) + ([n] if n else [])
+    return tokens, bounds
+
+
+@settings(max_examples=400, deadline=None)
+@given(token_streams(), st.sampled_from([0, 3, 50]))
+def test_tagging_matches_frozen(stream, max_dist):
+    tokens, bounds = stream
+    _same_tagging(tokens, bounds, max_dist)
+
+
+# ------------------------------------------------------- alias graph
+
+
+@st.composite
+def graphs_and_cuts(draw):
+    """A random undirected graph on up to 8 nodes and a sequence of
+    node pairs to cut, in order."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 8)))]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    cuts = draw(st.lists(st.sampled_from(pairs), max_size=6))
+    return nodes, edges, cuts
+
+
+def _edge_set(adj: dict[str, set[str]]) -> set[frozenset[str]]:
+    return {frozenset((a, b)) for a, nbrs in adj.items() for b in nbrs}
+
+
+@settings(max_examples=400, deadline=None)
+@given(graphs_and_cuts())
+# a 4-cycle: two equal-length shortest paths from n0 to n2, then cut again
+@example((["n0", "n1", "n2", "n3"], [("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n0", "n3")],
+          [("n0", "n2"), ("n0", "n2"), ("n1", "n3")]))
+# disconnected pair
+@example((["n0", "n1", "n2"], [("n0", "n1")], [("n0", "n2"), ("n2", "n1")]))
+def test_cut_and_components_match_networkx(case):
+    """``_cut_shortest_paths`` removes exactly the first edges of the
+    ``nx.all_shortest_paths`` paths, cut after cut, and ``_components``
+    gives ``nx.connected_components``."""
+    nodes, edges, cuts = case
+    G = nx.Graph()
+    G.add_nodes_from(nodes)
+    G.add_edges_from(edges)
+    adj: dict[str, set[str]] = {n: set() for n in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    for a, b in cuts:
+        try:
+            paths = list(nx.all_shortest_paths(G, a, b))
+        except nx.NetworkXNoPath:
+            paths = []
+        G.remove_edges_from({(p[0], p[1]) for p in paths})
+        unify._cut_shortest_paths(adj, a, b)
+        assert _edge_set(adj) == {frozenset(e) for e in G.edges}
+        assert all(b in adj[a] for b in adj for a in adj[b])  # symmetric
+        assert sorted(map(sorted, unify._components(adj))) == sorted(
+            map(sorted, nx.connected_components(G))
+        )

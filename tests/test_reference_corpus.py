@@ -1,9 +1,11 @@
 """E2E on the reference's OWN test corpus (north-star criterion).
 
 The reference's slow-test fixture is Pride & Prejudice, 61 chapters
-(``/root/reference/tests/test_pipeline.py:56-77``; corpus under
-``renard/resources/novels/pride_and_prejudice/``).  We read that text
-as our pages input (test DATA, not code) and assert the distributed
+(its ``tests/test_pipeline.py:56-77``; the corpus is under its
+``renard/resources/novels/pride_and_prejudice/``, which
+``renard_ray.sources.pages.PNP_DIR`` names and ``$RENARD_REFERENCE_DIR``
+relocates).  We read that text as our pages input (test DATA, not
+code) and assert the distributed
 pipeline reproduces the golden oracle's triples exactly (P = R = 1.0 ≥
 the 0.95 target) on real novel text — long documents, real dialogue,
 real name variation (Elizabeth/Lizzy/Miss Bennet, Mr. Darcy/Darcy).
@@ -11,41 +13,24 @@ real name variation (Elizabeth/Lizzy/Miss Bennet, Mr. Darcy/Darcy).
 
 from __future__ import annotations
 
-import glob
+import json
 import os
+import subprocess
+import sys
 
-import pyarrow as pa
 import pytest
 
 from renard_ray.oracle.golden import oracle_triples, triple_precision_recall
 from renard_ray.pipelines.kg import KGConfig, build_kg
+from renard_ray.sources.pages import PNP_DIR, pnp_pages_table
 from renard_ray.textproc.document import DocConfig
-
-PNP_DIR = "/root/reference/renard/resources/novels/pride_and_prejudice"
-
-
-def _pnp_pages() -> pa.Table:
-    files = sorted(glob.glob(f"{PNP_DIR}/chapter_*.txt"))
-    texts = [open(f, encoding="utf-8").read() for f in files]
-    n = len(texts)
-    return pa.table(
-        {
-            "url": pa.array(
-                [f"https://fixture.test/pnp/{os.path.basename(f)}" for f in files],
-                pa.string(),
-            ),
-            "warc_ts": pa.array([None] * n, pa.timestamp("us")),
-            "text": pa.array(texts, pa.large_string()),
-            "lang": pa.array(["eng"] * n, pa.string()),
-        }
-    )
 
 
 @pytest.mark.skipif(not os.path.isdir(PNP_DIR), reason="reference corpus absent")
 def test_pride_and_prejudice_parity(ray_session):
     import ray
 
-    pages_tbl = _pnp_pages()
+    pages_tbl = pnp_pages_table()
     assert pages_tbl.num_rows == 61
 
     cfg = KGConfig(
@@ -68,3 +53,36 @@ def test_pride_and_prejudice_parity(ray_session):
     assert any("Bennet" in n for n in nodes)
     # conversational edges exist on real dialogue
     assert (got_df.pred == "talks_with").any()
+
+
+def test_reference_dir_env_relocates_the_corpus(tmp_path):
+    """``$RENARD_REFERENCE_DIR`` moves the corpus lookup: the driver's
+    loader then reads its chapter files, in file-name order, instead of
+    falling back to the synthetic corpus."""
+    pnp = tmp_path / "renard" / "resources" / "novels" / "pride_and_prejudice"
+    pnp.mkdir(parents=True)
+    for i in (2, 1):
+        (pnp / f"chapter_{i}.txt").write_text(f"Chapter {i}.", encoding="utf-8")
+    code = (
+        "import json\n"
+        "from __ray_entry__ import _pnp_pages_table\n"
+        "tbl, name = _pnp_pages_table('unused')\n"
+        "print(json.dumps([name, tbl.column('url').to_pylist(), tbl.column('text').to_pylist()]))\n"
+    )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=repo,
+        env={**os.environ, "RENARD_REFERENCE_DIR": str(tmp_path)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    name, urls, texts = json.loads(res.stdout.splitlines()[-1])
+    assert name == "pride_and_prejudice"
+    assert urls == [
+        "https://fixture.test/pnp/chapter_1.txt",
+        "https://fixture.test/pnp/chapter_2.txt",
+    ]
+    assert texts == ["Chapter 1.", "Chapter 2."]

@@ -8,6 +8,7 @@ properties from ``tests/test_tokenization.py``, ``test_quote_detection
 from __future__ import annotations
 
 import itertools
+import os
 import string
 
 from hypothesis import given, settings
@@ -429,3 +430,24 @@ def test_paragraph_dynamic_blocks():
     assert frozenset(("Anna", "Bella")) in keys0
     assert frozenset(("Carla", "Dora")) in keys1
     assert frozenset(("Anna", "Carla")) not in keys0 | keys1
+
+
+def test_kernel_import_loads_no_graph_library():
+    """Importing the flagship pipelines and the golden oracle (what every
+    Ray worker running the kernel and every driver pays at start) does
+    not import networkx: the unifier's alias graph is an adjacency map,
+    and networkx stays with the GEXF sink."""
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = (
+        "import sys\n"
+        "import renard_ray.pipelines.kg, renard_ray.pipelines.checkpoint, "
+        "renard_ray.oracle.golden\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported'\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], cwd=repo, capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
