@@ -46,6 +46,7 @@ from renard_ray.ops.graphstats import _distinct_adjacency
 from renard_ray.ops.walks import _node_id_u64
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 __all__ = ["neighborhood_function_dataset"]
 
@@ -70,11 +71,7 @@ def neighborhood_function_dataset(
     exact-int estimator sums fit int64 at any p <= 12."""
     import pyarrow.compute as pc
 
-    from renard_ray.ops.relational import (
-        _collect_small,
-        _join_parts_bytes,
-        _scrub_schemaless,
-    )
+    from renard_ray.ops.relational import _collect_small
 
     assert 4 <= p <= 12, "p outside the supported precision range"
     m = 1 << p
@@ -137,8 +134,6 @@ def neighborhood_function_dataset(
         if small_edges is not None
         else None
     )
-    nparts = max(2, _join_parts_bytes(edges))
-
     def fan_out(rds: Dataset) -> Dataset:
         if edges_ref is not None:
 
@@ -156,8 +151,8 @@ def neighborhood_function_dataset(
                 )
 
             return rds.map_batches(bcast, batch_format="pyarrow")
-        rne = _scrub_schemaless(rds)
-        if rne is None:
+        rds = rds.materialize()
+        if rds.schema() is None:
             return ray.data.from_arrow(
                 pa.table(
                     {"node": pa.array([], pa.string()),
@@ -165,10 +160,7 @@ def neighborhood_function_dataset(
                      "rank": pa.array([], pa.int64())}
                 )
             )
-        return rne.join(
-            edges, join_type="inner", num_partitions=nparts,
-            on=("node",), right_on=("src",),
-        ).map_batches(
+        return hash_join(rds, edges, "node", "src").map_batches(
             lambda b: pa.table(
                 {
                     "node": b.column("dst"),

@@ -17,7 +17,7 @@ list + one ``groupby`` shuffle keyed on (node, label).  The label
 table is vocabulary-bounded (canonical entities), so it rides the same
 size-adaptive policy as PageRank's rank vector: broadcast via
 ``ray.put`` + ``index_in`` while it fits the row budget, and a
-``Dataset.join`` label exchange past it (nothing vocabulary-sized on
+``hash_join`` label exchange past it (nothing vocabulary-sized on
 the driver in that regime).  The per-node argmax-with-tie reduce is a
 single ``Min`` aggregate over an encoded (inverted count, label) sort
 key — the same trick as the canonical-display-name pick in
@@ -37,7 +37,9 @@ import ray
 from ray.data import Dataset
 from ray.data.aggregate import Count, Min, Sum
 
-from .relational import _collect_small, _join_parts_bytes
+from renard_ray.ops.hashagg import hash_join
+
+from .relational import _collect_small
 from .triangles import _distinct_edges
 
 _LABEL_LIMIT = 5_000_000  # label-table broadcast budget (rows)
@@ -128,7 +130,6 @@ def label_propagation(
     *,
     weight_col: str | None = None,
     broadcast_limit: int | None = None,
-    num_partitions: int | None = None,
     driver_limit: int = 200_000,
 ) -> Dataset:
     """(node, community) after ``n_iter`` synchronous LPA rounds over
@@ -145,7 +146,6 @@ def label_propagation(
     ties -> min label, fixpoint early exit); tests force
     ``driver_limit=0`` to exercise the distributed rounds."""
     limit = _LABEL_LIMIT if broadcast_limit is None else broadcast_limit
-    nparts = num_partitions or max(2, _join_parts_bytes(triples))
     edges = _weighted_edges(triples, weight_col).materialize()
 
     if edges.count() <= driver_limit:
@@ -261,10 +261,7 @@ def label_propagation(
                 lambda b: b.rename_columns(["node_", "lab"]),
                 batch_format="pyarrow",
             )
-            nbr_lab = directed.join(
-                lab_r, join_type="inner", num_partitions=nparts,
-                on=("nbr",), right_on=("node_",),
-            )
+            nbr_lab = hash_join(directed, lab_r, "nbr", "node_")
             votes = nbr_lab.map_batches(
                 lambda b: (
                     b.select(["node", "lab", "wi"])

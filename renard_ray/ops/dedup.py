@@ -34,6 +34,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Count, Min, Sum
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 _WS_RE = re.compile(r"\s+")
 
@@ -93,19 +94,13 @@ def exact_dedup_groups(sf_dir: str) -> Dataset:
 
 def exact_dedup_keep(sf_dir: str) -> Dataset:
     """The surviving documents after exact dedup (keeper rows only)."""
-    from renard_ray.ops.relational import _join_parts
-
     groups = exact_dedup_groups(sf_dir).select_columns(["keeper_doc_id"])
     # no "text": the output is metadata-only, so the document payload
     # must not ride the join exchange
     docs = _read_documents(sf_dir, ["doc_id", "lang", "source", "n_chars"])
-    return docs.join(
-        groups,
-        join_type="inner",
-        num_partitions=_join_parts(sf_dir, "documents"),
-        on=("doc_id",),
-        right_on=("keeper_doc_id",),
-    ).select_columns(["doc_id", "lang", "source", "n_chars"])
+    return hash_join(docs, groups, "doc_id", "keeper_doc_id").select_columns(
+        ["doc_id", "lang", "source", "n_chars"]
+    )
 
 
 # -------------------------------------------------------------- minhash
@@ -406,24 +401,13 @@ def minhash_candidate_pairs(
 
         sigs = sigs.map_batches(drop_big, batch_format="pyarrow")
 
-    # join width sized to the signature-table bytes (the hard-coded
-    # small width starves big inputs; hundreds of partitions on a tiny
-    # input starve the aggregator instead)
-    from renard_ray.ops.relational import _join_parts
-
-    nparts = _join_parts(sf_dir, "documents")
     rhs = sigs.map_batches(
         lambda b: pa.table(
             {"band": b.column("band"), "bucket": b.column("bucket"), "b_id": b.column("doc_id")}
         ),
         batch_format="pyarrow",
     )
-    joined = sigs.join(
-        rhs,
-        join_type="inner",
-        num_partitions=nparts,
-        on=("band", "bucket"),
-    )
+    joined = hash_join(sigs, rhs, ["band", "bucket"])
 
     def ordered(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -586,8 +570,6 @@ def minhash_dedup_pairs(
     the pair list — no join operators at all.  Both guards are checked
     against the actual materialized sizes, and past either one the
     join path above runs unchanged (tested: forced-fallback parity)."""
-    from renard_ray.ops.relational import _join_parts
-
     cand = minhash_candidate_pairs(sf_dir, n_perm, n_bands, shingle_k).materialize()
     n_pairs = cand.count()
     if n_pairs == 0:
@@ -600,15 +582,7 @@ def minhash_dedup_pairs(
     if fast is not None:
         return fast
 
-    nparts = _join_parts(sf_dir, "documents")
-
-    j1 = cand.join(
-        docs,
-        join_type="inner",
-        num_partitions=nparts,
-        on=("a",),
-        right_on=("doc_id",),
-    )
+    j1 = hash_join(cand, docs, "a", "doc_id")
 
     def rename_a(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -619,12 +593,11 @@ def minhash_dedup_pairs(
             }
         )
 
-    j2 = j1.map_batches(rename_a, batch_format="pyarrow").join(
+    j2 = hash_join(
+        j1.map_batches(rename_a, batch_format="pyarrow"),
         docs,
-        join_type="inner",
-        num_partitions=nparts,
-        on=("b",),
-        right_on=("doc_id",),
+        "b",
+        "doc_id",
     )
 
     def verify(batch: pa.Table) -> pa.Table:
@@ -684,7 +657,6 @@ def ngram_jaccard_pairs(
     """
     import logging
 
-    from renard_ray.ops.relational import _join_parts
     from ray.data.aggregate import Min, Sum
 
     docs = _read_documents(sf_dir, ["doc_id", "text"])
@@ -745,13 +717,7 @@ def ngram_jaccard_pairs(
             # join; the sizes side is 1 row per doc)
             sizes = _hagg_auto(kept, "doc", [('', 'count_all', 'n_capped')])
             sigs = (
-                kept.select_columns(["sh", "doc"])
-                .join(
-                    sizes,
-                    join_type="inner",
-                    num_partitions=_join_parts(sf_dir, "documents"),
-                    on=("doc",),
-                )
+                hash_join(kept.select_columns(["sh", "doc"]), sizes, "doc")
                 .map_batches(
                     lambda b: pa.table(
                         {
@@ -777,12 +743,7 @@ def ngram_jaccard_pairs(
         ),
         batch_format="pyarrow",
     )
-    joined = sigs.join(
-        rhs,
-        join_type="inner",
-        num_partitions=_join_parts(sf_dir, "documents"),
-        on=("sh",),
-    )
+    joined = hash_join(sigs, rhs, "sh")
 
     def pair_partials(batch: pa.Table) -> pa.Table:
         keep = pc.less(batch.column("doc"), batch.column("b_doc"))
@@ -896,8 +857,6 @@ def simhash_near_dup_pairs(
     ``minhash_dedup_clusters`` (clusters, linear output) instead."""
     import logging
 
-    from renard_ray.ops.relational import _join_parts
-
     ds = _read_documents(sf_dir, ["doc_id", "text"])
     sigs = ds.map_batches(
         SimHashStage, batch_format="pyarrow", concurrency=(1, 8)
@@ -938,12 +897,7 @@ def simhash_near_dup_pairs(
         ),
         batch_format="pyarrow",
     )
-    joined = sigs.join(
-        rhs,
-        join_type="inner",
-        num_partitions=_join_parts(sf_dir, "documents"),
-        on=("chunk", "key"),
-    )
+    joined = hash_join(sigs, rhs, ["chunk", "key"])
 
     hmax = max_hamming
 
@@ -1006,11 +960,7 @@ def embedding_near_dup_pairs(
 
     emb = read_table(f"{sf_dir}/embeddings.parquet", ["vec_id", "embedding"])
     if mode == "srp":
-        from renard_ray.ops.relational import _join_parts
-
-        return _embedding_near_dup_srp(
-            emb, threshold, nparts=_join_parts(sf_dir, "embeddings", cpu_floor=False)
-        )
+        return _embedding_near_dup_srp(emb, threshold)
 
     import os
 
@@ -1078,8 +1028,7 @@ def embedding_near_dup_pairs(
 
 
 def _embedding_near_dup_srp(
-    emb: Dataset, threshold: float, n_tables: int = 24, n_bits: int = 10,
-    nparts: int = 2,
+    emb: Dataset, threshold: float, n_tables: int = 24, n_bits: int = 10
 ) -> Dataset:
     """Approximate near-dup pairs: SRP bucket self-join for candidates,
     per-batch cosine verification.  Linear-ish shuffle volume; recall
@@ -1116,7 +1065,7 @@ def _embedding_near_dup_srp(
         batch_format="pyarrow",
     )
     cand = (
-        _hagg_auto(buckets.join(rhs, join_type="inner", num_partitions=nparts, on=("table", "bucket"))
+        _hagg_auto(hash_join(buckets, rhs, ["table", "bucket"])
         .map_batches(
             lambda b: pa.table(
                 {
@@ -1142,17 +1091,13 @@ def _embedding_near_dup_srp(
         )
 
     emb_bin = emb.map_batches(pack, batch_format="pyarrow")
-    j1 = cand.join(
-        emb_bin, join_type="inner", num_partitions=nparts, on=("a",), right_on=("vec_id",)
-    ).map_batches(
+    j1 = hash_join(cand, emb_bin, "a", "vec_id").map_batches(
         lambda b: pa.table(
             {"a": b.column("a"), "b": b.column("b"), "ebin_a": b.column("ebin")}
         ),
         batch_format="pyarrow",
     )
-    j2 = j1.join(
-        emb_bin, join_type="inner", num_partitions=nparts, on=("b",), right_on=("vec_id",)
-    )
+    j2 = hash_join(j1, emb_bin, "b", "vec_id")
 
     def verify(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -1259,11 +1204,7 @@ def minhash_dedup_clusters(
     keepers = _hagg_auto(lab, "label", [('doc_id', 'min', 'min(doc_id)')]).map_batches(
         rename_keeper, batch_format="pyarrow"
     )
-    # label cardinality ~ clustered docs; size the join off the pair count
-    nparts = 1 if n_pairs < 100_000 else max(2, min(256, n_pairs // 500_000 + 2))
-    out = lab.join(
-        keepers, join_type="inner", num_partitions=nparts, on=("label",)
-    )
+    out = hash_join(lab, keepers, "label")
     return out.select_columns(["doc_id", "keeper_doc_id"]).sort("doc_id")
 
 
@@ -1289,7 +1230,7 @@ def span_dedup(sf_dir: str, span_words: int = 10) -> Dataset:
 
     Output: (doc_id, n_spans, n_removed) for EVERY document
     (zero-span docs included with (0, 0))."""
-    from renard_ray.ops.relational import broadcast_lookup_join, drop_empty_blocks
+    from renard_ray.ops.relational import broadcast_lookup_join
 
     ds = _read_documents(sf_dir, ["doc_id", "text"])
     W = span_words
@@ -1339,7 +1280,7 @@ def span_dedup(sf_dir: str, span_words: int = 10) -> Dataset:
     spans = tagged.filter(expr="kind == 's'").select_columns(
         ["doc_id", "h", "packed"]
     )
-    spans = drop_empty_blocks(spans)
+    spans = spans.materialize()
     zero_rows = tagged.filter(expr="kind == 'd'").map_batches(
         lambda b: pa.table(
             {
@@ -1350,14 +1291,10 @@ def span_dedup(sf_dir: str, span_words: int = 10) -> Dataset:
         ),
         batch_format="pyarrow",
     )
-    if spans is None:
+    if spans.count() == 0:
         return zero_rows
 
     winners = _hagg_auto(spans, "h", [('packed', 'min', 'w')])
-    # hash aggregates emit schema-less blocks for empty partitions,
-    # which crash the hash-join fallback's key resolution (see
-    # drop_empty_blocks); spans is nonempty here so winners has >= 1 row
-    winners = drop_empty_blocks(winners)
     flagged = broadcast_lookup_join(
         spans, winners, on="h", right_on="h", payload=["w"]
     )

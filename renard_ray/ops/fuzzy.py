@@ -43,6 +43,7 @@ import ray
 from ray.data import Dataset
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 logger = logging.getLogger(__name__)
 
@@ -230,7 +231,7 @@ def ed1_pairs_dataset(
     # self-join on the variant hash.  The semi join is the shared
     # size-adaptive helper (broadcast under the key budget, hash join
     # past it) — no bespoke index_in plumbing here.
-    from renard_ray.ops.relational import _join_parts_bytes, broadcast_semi_join
+    from renard_ray.ops.relational import broadcast_semi_join
 
     sizes = _hagg_auto(sigs, "vh", [('', 'count_all', 'n')]).materialize()
     coll = sizes.filter(expr="n >= 2").materialize()
@@ -257,22 +258,16 @@ def ed1_pairs_dataset(
         # (rare, by definition few) OVERSIZED keys via an anti mask —
         # singleton buckets stay (they emit no pairs in the self-join)
         # and the TB-scale signature table never crosses an exchange
-        # just to be filtered.  fallback_parts sized from sigs, not the
-        # small key side, if even the oversized set outgrows a
-        # broadcast.
+        # just to be filtered.
         sigs = broadcast_semi_join(
             sigs, big_ds, on="vh", anti=True, limit=_BUCKET_KEY_LIMIT,
-            fallback_parts=_join_parts_bytes(sigs),
         )
 
-    nparts = _join_parts_bytes(sigs)
     rhs = sigs.map_batches(
         lambda b: pa.table({"vh": b.column("vh"), "val_b": b.column("val")}),
         batch_format="pyarrow",
     )
-    joined = sigs.join(
-        rhs, join_type="inner", num_partitions=nparts, on=("vh",)
-    )
+    joined = hash_join(sigs, rhs, "vh")
 
     def ordered(batch: pa.Table) -> pa.Table:
         keep = pc.less(batch.column("val"), batch.column("val_b"))

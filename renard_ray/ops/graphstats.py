@@ -31,6 +31,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 _EDGE_COLS = ["subj", "obj", "weight"]
 
@@ -385,11 +386,14 @@ def _pagerank_join(
             }
         )
 
-    nparts = max(2, min(512, n_nodes // 2_000_000 + 2))
     ow = deg.map_batches(rename_deg, batch_format="pyarrow")
     ed = (
-        edges.map_batches(both_dirs, batch_format="pyarrow")
-        .join(ow, join_type="inner", num_partitions=nparts, on=("src",), right_on=("node",))
+        hash_join(
+            edges.map_batches(both_dirs, batch_format="pyarrow"),
+            ow,
+            "src",
+            "node",
+        )
         .select_columns(["src", "dst", "w", "out_w"])
         .materialize()
     )
@@ -451,13 +455,7 @@ def _pagerank_join(
         # every node has ≥1 undirected edge (deg comes from the edge
         # list), so every node appears as dst — no union-with-zeros pass
         ranks = (
-            ed.join(
-                ranks,
-                join_type="inner",
-                num_partitions=nparts,
-                on=("src",),
-                right_on=("node",),
-            )
+            hash_join(ed, ranks, "src", "node")
             .map_batches(edge_contrib, batch_format="pyarrow", batch_size=None)
         )
         from renard_ray.ops.hashagg import hash_aggregate
@@ -718,8 +716,6 @@ def _hits_join(
     the result deterministic across runs and partitionings."""
     from ray.data.aggregate import Sum as _Sum
 
-    nparts = max(2, min(512, n_nodes // 2_000_000 + 2))
-
     def orient(src: str, dst: str):
         def fn(batch: pa.Table) -> pa.Table:
             return pa.table(
@@ -762,13 +758,7 @@ def _hits_join(
 
     def half(ed: Dataset, state: Dataset) -> Dataset | None:
         pushed = (
-            ed.join(
-                state,
-                join_type="inner",
-                num_partitions=nparts,
-                on=("src",),
-                right_on=("node",),
-            )
+            hash_join(ed, state, "src", "node")
             .map_batches(edge_contrib, batch_format="pyarrow", batch_size=None)
         )
         from renard_ray.ops.hashagg import hash_aggregate
@@ -811,16 +801,17 @@ def _hits_join(
 
         return fn
 
-    out = nodes.join(
+    with_hub = hash_join(
+        nodes,
         h.map_batches(rename("hub"), batch_format="pyarrow"),
-        join_type="left_outer",
-        num_partitions=nparts,
-        on=("node",),
-    ).join(
+        "node",
+        how="left outer",
+    )
+    out = hash_join(
+        with_hub,
         a.map_batches(rename("authority"), batch_format="pyarrow"),
-        join_type="left_outer",
-        num_partitions=nparts,
-        on=("node",),
+        "node",
+        how="left outer",
     )
 
     def fill_round(batch: pa.Table) -> pa.Table:
@@ -1047,11 +1038,8 @@ def _distinct_adjacency(triples: Dataset, directed: bool = False) -> Dataset | N
     one pair-keyed groupby; undirected mode emits both directions so
     expansion / degree are single src-keyed operations.  Returns None
     when the graph has no surviving edge (empty input or self-loops
-    only) — the aggregate then yields only schema-less empty blocks,
-    which every downstream join/groupby would crash on."""
+    only)."""
     import pyarrow.compute as pc
-
-    from renard_ray.ops.relational import drop_empty_blocks
 
     def adjacency(batch: pa.Table) -> pa.Table:
         s = batch.column("subj").combine_chunks()
@@ -1072,11 +1060,10 @@ def _distinct_adjacency(triples: Dataset, directed: bool = False) -> Dataset | N
 
     combined = triples.select_columns(["subj", "obj"]).map_batches(
         adjacency, batch_format="pyarrow", batch_size=None
-    )
-    scrubbed = drop_empty_blocks(combined)
-    if scrubbed is None:
+    ).materialize()
+    if combined.count() == 0:
         return None
-    return drop_empty_blocks(hash_aggregate(scrubbed, ["src", "dst"], []))
+    return hash_aggregate(combined, ["src", "dst"], [])
 
 
 def bfs_hops_dataset(
@@ -1349,7 +1336,7 @@ def seed_centrality_dataset(
     ).materialize()
     frontier = dist.select_columns(["seed", "node"])
 
-    from renard_ray.ops.relational import _collect_small, _join_parts_bytes
+    from renard_ray.ops.relational import _collect_small
 
     small_edges = _collect_small(edges, limit)
     edges_ref = (
@@ -1357,7 +1344,6 @@ def seed_centrality_dataset(
         if small_edges is not None
         else None
     )
-    nparts = max(2, _join_parts_bytes(edges))
 
     for h in range(1, max_hops + 1):
         if edges_ref is not None:
@@ -1373,10 +1359,7 @@ def seed_centrality_dataset(
 
             expanded = frontier.map_batches(expand, batch_format="pyarrow")
         else:
-            expanded = frontier.join(
-                edges, join_type="inner", num_partitions=nparts,
-                on=("node",), right_on=("src",),
-            ).map_batches(
+            expanded = hash_join(frontier, edges, "node", "src").map_batches(
                 lambda b: pa.table(
                     {"seed": b.column("seed"), "node": b.column("dst")}
                 ),
@@ -1533,17 +1516,12 @@ def scc_dataset(
         t = t.filter(pc.not_equal(t.column("src"), t.column("dst")))
         return t.group_by(["src", "dst"]).aggregate([]).select(["src", "dst"])
 
-    from renard_ray.ops.relational import drop_empty_blocks
-
     from renard_ray.ops.hashagg import hash_aggregate
 
-    edges = drop_empty_blocks(
-        triples.select_columns(["subj", "obj"]).map_batches(
-            directed, batch_format="pyarrow", batch_size=None
-        )
-    )
-    if edges is not None:
-        edges = drop_empty_blocks(hash_aggregate(edges, ["src", "dst"], []))
+    edges = triples.select_columns(["subj", "obj"]).map_batches(
+        directed, batch_format="pyarrow", batch_size=None
+    ).materialize()
+    edges = hash_aggregate(edges, ["src", "dst"], []) if edges.count() else None
 
     # size-adaptive fast path (house convention, cf. connected
     # components' driver union-find): the distributed trim/color/
@@ -1701,9 +1679,6 @@ def scc_dataset(
                     edges, no_in, on="src", right_on="src", anti=True,
                     limit=limit,
                 )
-            edges = drop_empty_blocks(edges)
-            if edges is None:
-                break
             edges = edges.materialize()
             if edges.count() == 0:
                 edges = None
@@ -1877,7 +1852,6 @@ def scc_dataset(
         edges = broadcast_semi_join(
             edges, mem_nodes, on="dst", right_on="node", anti=True, limit=limit
         )
-        edges = drop_empty_blocks(edges)
 
     if edges is not None:
         leftover = edges.materialize()
@@ -1949,8 +1923,7 @@ def betweenness_dataset(
 
     from renard_ray.ops.relational import (
         _collect_small,
-        _join_parts_bytes,
-        _scrub_schemaless,
+        _schemaful,
         broadcast_semi_join,
     )
 
@@ -1988,7 +1961,6 @@ def betweenness_dataset(
         if small_edges is not None
         else None
     )
-    nparts = max(2, _join_parts_bytes(edges))
 
     def expand(ds: Dataset, payload: str) -> Dataset:
         """(seed, node, <payload>) x adjacency -> (seed, node=dst,
@@ -2009,8 +1981,7 @@ def betweenness_dataset(
                 )
 
             return ds.map_batches(bcast, batch_format="pyarrow")
-        # hash plan: scrub schema-less aggregate residue before Acero
-        dsne = _scrub_schemaless(ds)
+        dsne = _schemaful(ds)
         if dsne is None:
             return ray.data.from_arrow(
                 pa.table(
@@ -2019,10 +1990,7 @@ def betweenness_dataset(
                      payload: pa.array([], pa.int64())}
                 )
             )
-        return dsne.join(
-            edges, join_type="inner", num_partitions=nparts,
-            on=("node",), right_on=("src",),
-        ).map_batches(
+        return hash_join(dsne, edges, "node", "src").map_batches(
             lambda b: pa.table(
                 {
                     "seed": b.column("seed"),
@@ -2120,7 +2088,7 @@ def betweenness_dataset(
                 }
             )
 
-        sums = _scrub_schemaless(
+        sums = _schemaful(
             _hagg_auto(expand(cur.map_batches(credit, batch_format="pyarrow"), "c"), ["seed", "node"], [('c', 'sum', 'csum')])
             .map_batches(_packed, batch_format="pyarrow")
             .select_columns(["sk", "csum"])
@@ -2144,12 +2112,11 @@ def betweenness_dataset(
 
             joined = ld.map_batches(attach, batch_format="pyarrow")
         else:
-            ldne = _scrub_schemaless(ld)
+            ldne = _schemaful(ld)
             joined = (
-                ldne.join(
-                    sums, join_type="inner",
-                    num_partitions=nparts, on=("sk",),
-                ).select_columns(["seed", "node", "sigma", "csum"])
+                hash_join(ldne, sums, "sk").select_columns(
+                    ["seed", "node", "sigma", "csum"]
+                )
                 if ldne is not None
                 else ray.data.from_arrow(
                     pa.table(
@@ -2294,8 +2261,7 @@ def shortest_path_dataset(
 
     from renard_ray.ops.relational import (
         _collect_small,
-        _join_parts_bytes,
-        _scrub_schemaless,
+        _schemaful,
         broadcast_semi_join,
     )
 
@@ -2318,7 +2284,6 @@ def shortest_path_dataset(
         if small_edges is not None
         else None
     )
-    nparts = max(2, _join_parts_bytes(edges))
 
     frontier = ray.data.from_arrow(
         pa.table({"node": pa.array([src], pa.string())})
@@ -2341,12 +2306,9 @@ def shortest_path_dataset(
 
             cand = frontier.map_batches(expand, batch_format="pyarrow")
         else:
-            fne = _scrub_schemaless(frontier)
+            fne = _schemaful(frontier)
             cand = (
-                fne.join(
-                    edges, join_type="inner", num_partitions=nparts,
-                    on=("node",), right_on=("src",),
-                ).map_batches(
+                hash_join(fne, edges, "node", "src").map_batches(
                     lambda b: pa.table(
                         {"node": b.column("dst"), "parent": b.column("node")}
                     ),
@@ -2427,8 +2389,7 @@ def label_spreading_dataset(
 
     from renard_ray.ops.relational import (
         _collect_small,
-        _join_parts_bytes,
-        _scrub_schemaless,
+        _schemaful,
         broadcast_semi_join,
     )
 
@@ -2496,7 +2457,6 @@ def label_spreading_dataset(
         if small_edges is not None
         else None
     )
-    nparts = max(2, _join_parts_bytes(edges))
 
     def argmax_label(batch: pa.Table) -> pa.Table:
         """Pack (inverted weight, label) so groupby-Min = (max weight,
@@ -2532,12 +2492,9 @@ def label_spreading_dataset(
 
             msgs = lab.map_batches(msg, batch_format="pyarrow")
         else:
-            lne = _scrub_schemaless(lab)
+            lne = _schemaful(lab)
             msgs = (
-                lne.join(
-                    edges, join_type="inner", num_partitions=nparts,
-                    on=("node",), right_on=("src",),
-                ).map_batches(
+                hash_join(lne, edges, "node", "src").map_batches(
                     lambda b: pa.table(
                         {
                             "dst": b.column("dst"),
@@ -2638,8 +2595,7 @@ def weighted_distances_dataset(
 
     from renard_ray.ops.relational import (
         _collect_small,
-        _join_parts_bytes,
-        _scrub_schemaless,
+        _schemaful,
         broadcast_semi_join,
     )
 
@@ -2710,7 +2666,6 @@ def weighted_distances_dataset(
         if small_edges is not None
         else None
     )
-    nparts = max(2, _join_parts_bytes(edges))
 
     dist = ray.data.from_arrow(
         pa.table(
@@ -2739,12 +2694,9 @@ def weighted_distances_dataset(
 
             cands = frontier.map_batches(relax, batch_format="pyarrow")
         else:
-            fne = _scrub_schemaless(frontier)
+            fne = _schemaful(frontier)
             cands = (
-                fne.join(
-                    edges, join_type="inner", num_partitions=nparts,
-                    on=("node",), right_on=("src",),
-                ).map_batches(
+                hash_join(fne, edges, "node", "src").map_batches(
                     lambda b: pa.table(
                         {
                             "node": b.column("dst"),
@@ -2786,19 +2738,20 @@ def weighted_distances_dataset(
                 improved_f, batch_format="pyarrow"
             ).materialize()
         else:
-            bne = _scrub_schemaless(best)
-            dne = _scrub_schemaless(dist)
+            bne = _schemaful(best)
+            dne = _schemaful(dist)
             if bne is None or dne is None:  # no candidates this round
                 break
-            joined = bne.join(
+            joined = hash_join(
+                bne,
                 dne.map_batches(
                     lambda b: pa.table(
                         {"node": b.column("node"), "old": b.column("d")}
                     ),
                     batch_format="pyarrow",
                 ),
-                join_type="left_outer", num_partitions=nparts,
-                on=("node",),
+                "node",
+                how="left outer",
             )
             improved = joined.map_batches(
                 lambda b: (
@@ -3268,9 +3221,7 @@ def _attributed_bfs(
     None when the graph/source set is empty."""
     from renard_ray.ops.relational import (
         _collect_small,
-        _join_parts_bytes,
         broadcast_semi_join,
-        drop_empty_blocks,
     )
 
     limit = 5_000_000 if broadcast_limit is None else broadcast_limit
@@ -3289,16 +3240,14 @@ def _attributed_bfs(
         )
         return t.group_by("node").aggregate([]).select(["node"])
 
-    nodes_ds = drop_empty_blocks(
-        _hagg_auto(
-            triples.select_columns(["subj", "obj"]).map_batches(
-                node_part, batch_format="pyarrow", batch_size=None
-            ),
-            "node",
-            [],
-        )
+    nodes_ds = _hagg_auto(
+        triples.select_columns(["subj", "obj"]).map_batches(
+            node_part, batch_format="pyarrow", batch_size=None
+        ),
+        "node",
+        [],
     )
-    if nodes_ds is None:
+    if nodes_ds.count() == 0:
         return None
     # the vocabulary collection is needed for dense-id ENCODING in both
     # modes, so it is capped by the ppm arithmetic bound (2.1M), not by
@@ -3426,16 +3375,9 @@ def _attributed_bfs(
 
     elif edges_int is not None:
         # at-scale path: ONE hash join per round, frontier x adjacency
-        nparts = max(2, _join_parts_bytes(edges_int))
 
         def expand_frontier(fr: Dataset) -> Dataset:
-            joined = fr.join(
-                edges_int,
-                join_type="inner",
-                num_partitions=nparts,
-                on=("v",),
-                right_on=("esrc",),
-            )
+            joined = hash_join(fr, edges_int, "v", "esrc")
 
             def pair(batch: pa.Table) -> pa.Table:
                 if batch.num_rows == 0:
@@ -3468,24 +3410,19 @@ def _attributed_bfs(
 
     if expand_frontier is not None:
         for h in range(1, hop_cap + 1):
-            reached = drop_empty_blocks(expand_frontier(frontier))
-            if reached is None:
+            reached = expand_frontier(frontier).materialize()
+            if reached.count() == 0:
                 break
             cand = _hagg_auto(
                 reached, "pk", [("s", "min", "s"), ("v", "min", "v")]
             )
-            new = drop_empty_blocks(
-                broadcast_semi_join(
-                    cand,
-                    visited.select_columns(["pk"]),
-                    on="pk",
-                    anti=True,
-                    limit=limit,
-                )
-            )
-            if new is None:
-                break
-            new = new.materialize()
+            new = broadcast_semi_join(
+                cand,
+                visited.select_columns(["pk"]),
+                on="pk",
+                anti=True,
+                limit=limit,
+            ).materialize()
             if new.count() == 0:
                 break
             tagged = new.map_batches(

@@ -39,10 +39,11 @@ import ray
 from ray.data import Dataset
 from ray.data.aggregate import Count, Sum
 
-from .relational import _collect_small, _join_parts_bytes
+from .relational import _collect_small
 from .textstats import _WS_RE, _read_documents
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 _MODEL_LIMIT = 20_000_000  # bigram-table broadcast budget (rows)
 _SEP = "\x1f"
@@ -200,7 +201,6 @@ def perplexity_scores(
         return docs.map_batches(score, batch_format="pyarrow")
 
     # join path: transition rows x count tables, one groupby(doc_id)
-    nparts = max(2, _join_parts_bytes(docs))
 
     def emit(batch: pa.Table) -> pa.Table:
         ids, keys, w1s = [], [], []
@@ -238,19 +238,23 @@ def perplexity_scores(
         ["n_tok_first", "short"]
     )
 
-    j1 = real.join(
+    j1 = hash_join(
+        real,
         bigrams.map_batches(
             lambda b: b.rename_columns(["key_", "c"]), batch_format="pyarrow"
         ),
-        join_type="left_outer", num_partitions=nparts,
-        on=("key",), right_on=("key_",),
+        "key",
+        "key_",
+        how="left outer",
     )
-    j2 = j1.join(
+    j2 = hash_join(
+        j1,
         contexts.map_batches(
             lambda b: b.rename_columns(["w1_", "c1"]), batch_format="pyarrow"
         ),
-        join_type="left_outer", num_partitions=nparts,
-        on=("w1",), right_on=("w1_",),
+        "w1",
+        "w1_",
+        how="left outer",
     )
 
     def logp_rows(batch: pa.Table) -> pa.Table:

@@ -42,6 +42,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Count, Min
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 logger = logging.getLogger(__name__)
 
@@ -255,24 +256,13 @@ def mst_dataset(
 
             labels = labels.map_batches(relabel, batch_format="pyarrow").materialize()
         else:
-            from renard_ray.ops.relational import _join_parts_bytes, _scrub_schemaless
-
-            ren = _scrub_schemaless(
-                label_ds.map_batches(
-                    lambda b: pa.table(
-                        {"comp": b.column("node"), "newcomp": b.column("label")}
-                    ),
-                    batch_format="pyarrow",
-                )
+            ren = label_ds.map_batches(
+                lambda b: pa.table(
+                    {"comp": b.column("node"), "newcomp": b.column("label")}
+                ),
+                batch_format="pyarrow",
             )
-            scrubbed = _scrub_schemaless(labels)
-            assert scrubbed is not None and ren is not None  # non-empty here
-            joined = scrubbed.join(
-                ren,
-                join_type="left_outer",
-                num_partitions=max(2, _join_parts_bytes(labels)),
-                on=("comp",),
-            )
+            joined = hash_join(labels, ren, "comp", how="left outer")
             labels = joined.map_batches(
                 lambda b: pa.table(
                     {

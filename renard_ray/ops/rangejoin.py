@@ -20,7 +20,7 @@ Size-adaptive planning (same policy as ``ops/relational.py``): when the
 exploded right side fits a row budget it is ``ray.put`` once and every
 left batch resolves matches with a per-batch *Arrow* hash join
 (``pa.Table.join``) — no exchange.  Past the budget both sides go
-through ``Dataset.join`` on (key, bucket): one all-to-all exchange,
+through ``hash_join`` on (key, bucket): one all-to-all exchange,
 the 100 TB design path.
 
 Skew: a hot (key, bucket) cell — e.g. every interval of a hub key in
@@ -48,9 +48,10 @@ import ray
 from ray.data import Dataset
 from ray.data.aggregate import Count, Max, Sum
 
-from .relational import _cents, _collect_small, _join_parts_bytes, _read
+from .relational import _cents, _collect_small, _read
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 logger = logging.getLogger(__name__)
 
@@ -127,7 +128,6 @@ def range_join(
     closed: str = "left",
     bucket_width: int | None = None,
     broadcast_limit: int | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """INNER range join: keep (left, right) pairs with
     ``right_start <= left.ts < right_end`` (``closed='left'``) or
@@ -206,16 +206,9 @@ def range_join(
         _left_bucket, fn_kwargs={"ts_col": left_ts, "width": width},
         batch_format="pyarrow",
     )
-    nparts = num_partitions or max(2, _join_parts_bytes(right))
     on_keys = (_BUCKET,) if on is None else (on, _BUCKET)
     ron_keys = (_BUCKET_R,) if right_on is None else (right_on, _BUCKET_R)
-    joined = l_b.join(
-        r_exp,
-        join_type="inner",
-        num_partitions=nparts,
-        on=on_keys,
-        right_on=ron_keys,
-    )
+    joined = hash_join(l_b, r_exp, on_keys, ron_keys)
     return joined.map_batches(exact_filter, batch_format="pyarrow")
 
 

@@ -9,8 +9,9 @@ Scale design notes (these run on 100 TB inputs unchanged):
 - reads go through ``read_table``: columns pruned at the scan, and a
   single one-row-group file read by one Ray task, not an execution;
 - joins put the SMALL side on the right / broadcast it via ``ray.put``
-  when it fits (nation/region), and use hash-partitioned
-  ``Dataset.join`` for big-big joins;
+  when it fits (nation/region), and use the house ``hash_join``
+  (``ops/hashagg.py``, the same Ray-task exchange as the aggregates)
+  for big-big joins;
 - aggregates go through the house two-phase ``hash_aggregate``
   (``ops/hashagg.py``: Ray tasks over the input's blocks);
 - money/quantity aggregates are computed in EXACT integer cents
@@ -39,6 +40,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 _HALF_AWAY = "half_towards_infinity"  # = DuckDB ROUND(double) tie-break
 
@@ -91,34 +93,6 @@ def _read(sf_dir: str, table: str, columns: list[str] | None = None) -> Dataset:
     return read_table(f"{sf_dir}/{table}.parquet", columns)
 
 
-def _join_parts(sf_dir: str, table: str = "lineitem", cpu_floor: bool = True) -> int:
-    """Hash-join partition count sized to the BIG side's bytes (each
-    shuffle partition targets ~128 MB) with a small CPU-bounded floor.
-    Measured on this host (q3/q5 at sf0.1, 32 CPUs): 2 partitions
-    under-parallelize (7.2 s), 8 is the knee (5.5 s), 32 regresses
-    badly (aggregator-actor startup dominates; and partition counts far
-    above data/CPUs have hung outright at 4 CPUs / 200 partitions) —
-    so the floor is min(cpus, 8).  100 TB inputs get thousands of
-    byte-sized partitions regardless."""
-    import os
-
-    try:
-        size = os.path.getsize(f"{sf_dir}/{table}.parquet")
-    except OSError:
-        size = 1 << 30
-    by_bytes = size // (128 << 20) + 2
-    if not cpu_floor:
-        # tiny side tables: extra partitions only create empty hash
-        # partitions (which Ray 2.49's join can crash on) — size by
-        # bytes alone
-        return max(2, min(4096, by_bytes))
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
-    return max(2, min(4096, max(by_bytes, min(ncpu, 8))))
-
-
 def _cents(col: pa.ChunkedArray) -> pa.ChunkedArray:
     """Exact integer cents from a 2-decimal money double."""
     return pc.cast(
@@ -150,16 +124,14 @@ def _ratio_round(num: pa.ChunkedArray, den: pa.ChunkedArray) -> pa.ChunkedArray:
 
 # ---------------------------------------- size-adaptive broadcast joins
 #
-# A hash join in Ray 2.49 spins up num_partitions aggregator actors and
-# moves BOTH sides through an all-to-all exchange — measured ~2-3 s of
-# fixed cost per join operator on this host even for kB-sized inputs.
-# When the build side fits a row budget, a semi/anti/lookup join is one
-# `ray.put` of the key (+payload) arrays and a vectorized
-# `pc.index_in` per batch: no exchange, no actors, and the probe side
-# streams.  Past the budget (fact-fact joins at the 100 TB design
-# point) every helper falls back to the exact same `Dataset.join` the
-# query shipped with — the adaptive pick is a per-run planning
-# decision, not a semantics change.
+# A hash join materializes BOTH sides and moves them through an
+# all-to-all exchange (``hashagg.hash_join``).  When the build side fits
+# a row budget, a semi/anti/lookup join is one `ray.put` of the key
+# (+payload) arrays and a vectorized `pc.index_in` per batch: no
+# exchange, and the probe side streams.  Past the budget (fact-fact
+# joins at the 100 TB design point) every helper falls back to
+# ``hash_join`` with the same join semantics — the adaptive pick is a
+# per-run planning decision, not a semantics change.
 
 _BCAST_ROW_LIMIT = 4_000_000  # ~32 MB of int64 keys in plasma
 
@@ -168,32 +140,6 @@ _BCAST_ROW_LIMIT = 4_000_000  # ~32 MB of int64 keys in plasma
 def _block_shape(t: pa.Table) -> tuple[int, int]:
     """(rows, columns) of one block, probed where the block lives."""
     return t.num_rows, t.num_columns
-
-
-def drop_empty_blocks(ds: Dataset) -> Dataset | None:
-    """Strip zero-column empty blocks from a dataset.
-
-    Ray's hash aggregate emits SCHEMA-LESS (0-column) blocks for empty
-    output partitions, and map_batches passes empty blocks through
-    without calling the UDF — so such blocks survive every downstream
-    stage until a ``Dataset.join`` hash-partitions them: a join
-    partition whose side holds only 0-column blocks finalizes an Arrow
-    table without the key column and Acero raises ``No match ... for
-    key field reference``.  This bites exactly when the aggregate's
-    distinct-key count is small relative to its partition count (tiny
-    inputs, or a filter that kills most groups).
-
-    Materializes ``ds`` (the callers are join fallbacks, where the
-    side is about to be shuffled anyway), probes per-block row counts
-    with tiny remote tasks (no driver fetch of block data), and
-    rebuilds the dataset from the nonempty block refs.  Returns None
-    when every block is empty (caller handles the no-rows case)."""
-    refs = ds.materialize().to_arrow_refs()
-    shapes = ray.get([_block_shape.remote(r) for r in refs])
-    keep = [r for r, (n, _c) in zip(refs, shapes) if n > 0]
-    if not keep:
-        return None
-    return ray.data.from_arrow_refs(keep)
 
 
 def _collect_small(
@@ -270,18 +216,16 @@ def _lookup_sorted_keys(ref, keys):
 
 
 def _scrub_schemaless(ds: Dataset) -> Dataset | None:
-    """Normalize a dataset's blocks before a ``Dataset.join``: drop
-    every EMPTY block whenever at least one non-empty block exists.
-    Empty blocks are schema hazards twice over — Ray's hash aggregate
-    emits SCHEMA-LESS (0-column) blocks for empty partitions, and
-    map_batches/Project SKIP empty blocks without applying the UDF,
-    so an empty block can carry a STALE pre-projection schema (extra
-    columns) into a join partition, where Acero's key resolution
-    raises ``No match or multiple matches``.  Probes per-block
+    """Normalize a result's blocks: drop every EMPTY block whenever at
+    least one non-empty block exists.  Empty blocks are schema hazards
+    twice over — a 0-row input leaves SCHEMA-LESS (0-column) blocks, and
+    map_batches/Project SKIP empty blocks without applying the UDF, so
+    an empty block can carry a STALE pre-projection schema (extra
+    columns) into the result.  Probes per-block
     (rows, cols) with tiny remote tasks (no driver fetch of data).
     When EVERY block is empty, keeps one schema-ful block so the
-    caller's join still sees the key column; returns None only when
-    no block has a schema at all."""
+    result keeps its columns; returns None only when no block has a
+    schema at all."""
     mat = ds.materialize()
     refs = mat.to_arrow_refs()
     metas = ray.get([_block_shape.remote(r) for r in refs])
@@ -296,6 +240,14 @@ def _scrub_schemaless(ds: Dataset) -> Dataset | None:
     return None
 
 
+def _schemaful(ds: Dataset) -> Dataset | None:
+    """``ds`` materialized, or None when it has no schema at all (zero
+    rows through 0-column blocks), where a caller returns its typed
+    empty result instead."""
+    ds = ds.materialize()
+    return ds if ds.schema() is not None else None
+
+
 def broadcast_semi_join(
     left: Dataset,
     right: Dataset,
@@ -303,19 +255,18 @@ def broadcast_semi_join(
     right_on: str | None = None,
     anti: bool = False,
     limit: int | None = None,
-    fallback_parts: int | None = None,
 ) -> Dataset:
     """SEMI (keep left rows whose key appears in right) or ANTI
     (keep rows whose key does not) join; broadcast the right-side key
-    set when it fits ``limit`` rows, else hash-join fallback."""
+    set when it fits ``limit`` rows, else ``hash_join``'s left semi/anti."""
     right_on = right_on or on
     limit = _BCAST_ROW_LIMIT if limit is None else limit
     keys_tab = _collect_small(right, limit, [right_on])
     if keys_tab is not None:
         # drop null keys: index_in(null, set containing null) returns a
         # VALID index, which would keep null-key left rows in semi mode
-        # (and drop them in anti) — the opposite of the hash-join
-        # fallback's SQL semantics.  With nulls out of the value set a
+        # (and drop them in anti) — the opposite of the hash join's SQL
+        # semantics.  With nulls out of the value set a
         # null probe maps to null -> semi drops, anti keeps: identical
         # to the fallback.
         key_ref = ray.put(
@@ -329,41 +280,9 @@ def broadcast_semi_join(
 
         return left.map_batches(semi, batch_format="pyarrow")
 
-    nparts = fallback_parts or max(2, _join_parts_bytes(right))
-    scrubbed = _scrub_schemaless(left)
-    if scrubbed is None:  # only schema-less empty blocks: nothing to keep
-        return left.limit(0)
-    left = scrubbed
-    dedup = _scrub_schemaless(
-        _hagg_auto(right.select_columns([right_on]), right_on, [('', 'count_all', 'count()')])
-    )
-    if dedup is None or dedup.count() == 0:  # no keyed right rows
-        return left.limit(0) if not anti else left
-    if not anti:
-        out_cols = left.schema().names
-        joined = left.join(
-            dedup.select_columns([right_on]),
-            join_type="inner",
-            num_partitions=nparts,
-            on=(on,),
-            right_on=(right_on,),
-        )
-        return joined.select_columns(out_cols)
-    marked = dedup.map_batches(
-        lambda b: pa.table(
-            {right_on: b.column(right_on),
-             "__matched": pa.array([1] * b.num_rows, pa.int8())}
-        ),
-        batch_format="pyarrow",
-    )
-    out_cols = left.schema().names
-    joined = left.join(
-        marked, join_type="left_outer", num_partitions=nparts,
-        on=(on,), right_on=(right_on,),
-    )
-    return joined.map_batches(
-        lambda b: b.filter(pc.is_null(b.column("__matched"))).select(out_cols),
-        batch_format="pyarrow",
+    return hash_join(
+        left, right.select_columns([right_on]), on, right_on,
+        "left anti" if anti else "left semi",
     )
 
 
@@ -374,7 +293,6 @@ def broadcast_lookup_join(
     right_on: str,
     payload: list[str],
     limit: int | None = None,
-    fallback_parts: int | None = None,
 ) -> Dataset:
     """INNER lookup join for a UNIQUE-keyed right side: attach
     ``payload`` columns to matching left rows (unmatched rows drop).
@@ -432,32 +350,9 @@ def broadcast_lookup_join(
             "broadcast_lookup_join: right key %r not unique — falling "
             "back to the hash join", right_on,
         )
-    nparts = fallback_parts or max(2, _join_parts_bytes(right))
-    scrubbed = _scrub_schemaless(left)
-    if scrubbed is None:  # only schema-less empty blocks: inner join is empty
-        return left.limit(0)
-    # scrub the right BEFORE select_columns: a fully-empty aggregate
-    # side is all schema-less blocks and Project would crash on them
-    right_clean = _scrub_schemaless(right)
-    if right_clean is None:  # no keyed right rows at all: inner join is empty
-        return left.limit(0)
-    return scrubbed.join(
-        right_clean.select_columns([right_on] + payload),
-        join_type="inner",
-        num_partitions=nparts,
-        on=(on,),
-        right_on=(right_on,),
+    return hash_join(
+        left, right.select_columns([right_on] + payload), on, right_on
     )
-
-
-def _join_parts_bytes(ds: Dataset) -> int:
-    """Partition count for a fallback join sized from the (already
-    materialized) build side's in-memory bytes."""
-    try:
-        size = ds.size_bytes() or 0
-    except Exception:
-        size = 0
-    return max(2, min(4096, size // (128 << 20) + 2))
 
 
 def q1_pricing_summary(sf_dir: str) -> Dataset:
@@ -550,19 +445,16 @@ def q3_top_unshipped_orders(sf_dir: str) -> Dataset:
         expr="c_mktsegment == 'BUILDING'"
     )
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    nparts = _join_parts(sf_dir)
     # both joins are SEMI joins (only the survivor set is used), so the
     # size-adaptive broadcast path applies; past _BCAST_ROW_LIMIT each
     # falls back to the measured-width hash join
     o = broadcast_semi_join(
         orders, cust, on="o_custkey", right_on="c_custkey",
-        fallback_parts=max(2, nparts // 4),
     )
     joined = broadcast_semi_join(
         _lineitem_revenue_c4(sf_dir),
         o.select_columns(["o_orderkey"]),
         on="l_orderkey", right_on="o_orderkey",
-        fallback_parts=nparts,
     )
     agg = _hagg_auto(joined, "l_orderkey", [('revenue_c4', 'sum', 'revenue_c4')])
     return agg.sort(["revenue_c4", "l_orderkey"], descending=[True, False]).limit(10)
@@ -577,7 +469,6 @@ def q5_nation_revenue(sf_dir: str) -> Dataset:
     nation_ref = ray.put(nation_tab.combine_chunks())
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    nparts = _join_parts(sf_dir)
     # unique-keyed LOOKUP joins (custkey -> nationkey, then orderkey ->
     # nationkey): broadcast the (key, payload) arrays while they fit,
     # hash join past the row budget (orders IS fact-scale at 100 TB —
@@ -585,13 +476,13 @@ def q5_nation_revenue(sf_dir: str) -> Dataset:
     # single-node/testing win)
     oc = broadcast_lookup_join(
         orders, cust, on="o_custkey", right_on="c_custkey",
-        payload=["c_nationkey"], fallback_parts=max(2, nparts // 4),
+        payload=["c_nationkey"],
     )
     joined = broadcast_lookup_join(
         _lineitem_revenue_c4(sf_dir),
         oc.select_columns(["o_orderkey", "c_nationkey"]),
         on="l_orderkey", right_on="o_orderkey",
-        payload=["c_nationkey"], fallback_parts=nparts,
+        payload=["c_nationkey"],
     )
 
     def label(batch: pa.Table) -> pa.Table:
@@ -1094,7 +985,6 @@ def q4_order_priority(sf_dir: str) -> Dataset:
     # SEMI join (qual is already distinct orderkeys) — size-adaptive
     joined = broadcast_semi_join(
         orders_f, qual, on="o_orderkey", right_on="l_orderkey",
-        fallback_parts=_join_parts(sf_dir, "orders"),
     )
     return _hagg_auto(joined, "o_orderpriority", [('', 'count_all', 'n_orders')])
 
@@ -1112,7 +1002,6 @@ def customers_without_orders(sf_dir: str, min_totalprice: float = 300000.0) -> D
     return broadcast_semi_join(
         cust, big.select_columns(["o_custkey"]),
         on="c_custkey", right_on="o_custkey", anti=True,
-        fallback_parts=_join_parts(sf_dir, "customer"),
     )
 
 
@@ -1129,7 +1018,6 @@ def customer_order_history(sf_dir: str, segment: str = "AUTOMOBILE") -> Dataset:
     joined = broadcast_semi_join(
         orders, cust.select_columns(["c_custkey"]),
         on="o_custkey", right_on="c_custkey",
-        fallback_parts=max(2, _join_parts(sf_dir, "orders") // 2),
     )
 
     # Sorted-run collect: string concat is ASSOCIATIVE, so per-block
@@ -1215,13 +1103,7 @@ def doc_embedding_join(sf_dir: str) -> Dataset:
     still a hash join (both sides grow with the corpus)."""
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     emb = _read(sf_dir, "embeddings", ["vec_id", "label"])
-    joined = docs.join(
-        emb,
-        join_type="inner",
-        num_partitions=max(2, _join_parts(sf_dir, "documents") // 2),
-        on=("doc_id",),
-        right_on=("vec_id",),
-    )
+    joined = hash_join(docs, emb, "doc_id", "vec_id")
     agg = _hagg_auto(joined, "label", [('', 'count_all', 'n_docs'), ('n_chars', 'sum', 'total_chars')])
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -1415,12 +1297,7 @@ def q17_small_quantity_revenue(sf_dir: str) -> Dataset:
     # side consume this — without it the lineitem scan runs twice
     rows = li.map_batches(derive, batch_format="pyarrow", batch_size=None).materialize()
     per_part = _hagg_auto(rows, "l_partkey", [('qty_i', 'sum', 'sum_qty'), ('', 'count_all', 'n_li')])
-    joined = rows.join(
-        per_part,
-        join_type="inner",
-        num_partitions=_join_parts(sf_dir),
-        on=("l_partkey",),
-    )
+    joined = hash_join(rows, per_part, "l_partkey")
 
     def keep_small(batch: pa.Table) -> pa.Table:
         lhs = pc.multiply(
@@ -1582,7 +1459,6 @@ def events_funnel(
         ).filter(pc.is_valid(batch.column("ts")))
 
     ev = ev.map_batches(derive, batch_format="pyarrow", batch_size=None).materialize()
-    nparts = _join_parts(sf_dir, "events")
 
     firsts = (
         _hagg_auto(ev.filter(expr=f"event_type == '{first_type}'"), "user_id", [('ts_us', 'min', 'ta')])
@@ -1591,7 +1467,6 @@ def events_funnel(
     step2 = ev.filter(expr=f"event_type == '{then_type}'")
     with_ta = broadcast_lookup_join(
         step2, firsts, on="user_id", right_on="user_id", payload=["ta"],
-        fallback_parts=nparts,
     )
     conv = (
         _hagg_auto(with_ta.map_batches(
@@ -2304,68 +2179,32 @@ def monthly_orders_vs_events(sf_dir: str) -> Dataset:
     em = (
         _hagg_auto(events.map_batches(e_derive, batch_format="pyarrow"), "month", [('', 'count_all', 'n_events'), ('value_c', 'sum', 'event_value_cents')])
     )
-    # hash aggregates emit schema-less empty blocks for empty output
-    # partitions; a full-outer join partition seeing only those on one
-    # side finalizes without the key column (see drop_empty_blocks)
-    om = drop_empty_blocks(om)
-    em = drop_empty_blocks(em)
-    if om is None or em is None:
-        nonempty = em if om is None else om
-        if nonempty is None:
-            return ray.data.from_arrow(
-                pa.table(
-                    {
-                        "month": pa.array([], pa.string()),
-                        "n_orders": pa.array([], pa.int64()),
-                        "order_price_cents": pa.array([], pa.int64()),
-                        "n_events": pa.array([], pa.int64()),
-                        "event_value_cents": pa.array([], pa.int64()),
-                    }
-                )
-            )
-
-        def pad(batch: pa.Table) -> pa.Table:
-            zeros = pa.array(np.zeros(batch.num_rows, dtype=np.int64))
-            have = set(batch.column_names)
-            return pa.table(
+    # a schema-less side (no rows at all) joins as its key column only;
+    # its count columns then read as zeros
+    joined = hash_join(om, em, "month", how="full outer")
+    if joined.count() == 0:
+        return ray.data.from_arrow(
+            pa.table(
                 {
-                    "month": batch.column("month"),
-                    "n_orders": batch.column("n_orders")
-                    if "n_orders" in have else zeros,
-                    "order_price_cents": batch.column("order_price_cents")
-                    if "order_price_cents" in have else zeros,
-                    "n_events": batch.column("n_events")
-                    if "n_events" in have else zeros,
-                    "event_value_cents": batch.column("event_value_cents")
-                    if "event_value_cents" in have else zeros,
+                    "month": pa.array([], pa.string()),
+                    "n_orders": pa.array([], pa.int64()),
+                    "order_price_cents": pa.array([], pa.int64()),
+                    "n_events": pa.array([], pa.int64()),
+                    "event_value_cents": pa.array([], pa.int64()),
                 }
             )
-
-        return nonempty.map_batches(pad, batch_format="pyarrow")
-    # size the outer exchange from the AGGREGATED side, not the fact
-    # file: both inputs are |months|-row tables, and far-above-data
-    # partition counts only create empty hash partitions (see
-    # _join_parts' crash note)
-    joined = om.join(
-        em,
-        join_type="full_outer",
-        num_partitions=max(2, _join_parts_bytes(om)),
-        on=("month",),
-    )
+        )
 
     def fill(batch: pa.Table) -> pa.Table:
         z = pa.scalar(0, pa.int64())
+        zeros = pa.array(np.zeros(batch.num_rows, dtype=np.int64))
+        cols = ["n_orders", "order_price_cents", "n_events", "event_value_cents"]
         return pa.table(
-            {
-                "month": batch.column("month"),
-                "n_orders": pc.fill_null(batch.column("n_orders"), z),
-                "order_price_cents": pc.fill_null(
-                    batch.column("order_price_cents"), z
-                ),
-                "n_events": pc.fill_null(batch.column("n_events"), z),
-                "event_value_cents": pc.fill_null(
-                    batch.column("event_value_cents"), z
-                ),
+            {"month": batch.column("month")}
+            | {
+                c: pc.fill_null(batch.column(c), z)
+                if c in batch.column_names else zeros
+                for c in cols
             }
         )
 
@@ -2409,7 +2248,6 @@ def orders_above_customer_avg(sf_dir: str) -> Dataset:
             batch_format="pyarrow",
         ),
         on="o_custkey", right_on="ck", payload=["sum_c", "n"],
-        fallback_parts=_join_parts_bytes(facts),
     )
 
     def above(batch: pa.Table) -> pa.Table:
@@ -2793,7 +2631,6 @@ def events_spend_outliers(sf_dir: str) -> Dataset:
             batch_format="pyarrow",
         ),
         on="user_id", right_on="uk", payload=["s_c", "q_c", "n"],
-        fallback_parts=_join_parts_bytes(facts),
     )
 
     def outlier(batch: pa.Table) -> pa.Table:
@@ -3486,10 +3323,9 @@ def q7_nation_volume(
         keep_ab("c_nationkey"), batch_format="pyarrow"
     )
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    nparts = _join_parts(sf_dir)
     oc = broadcast_lookup_join(
         orders, cust, on="o_custkey", right_on="c_custkey",
-        payload=["c_nationkey"], fallback_parts=max(2, nparts // 4),
+        payload=["c_nationkey"],
     )
 
     li = _read(
@@ -3522,12 +3358,12 @@ def q7_nation_volume(
     fact = li.map_batches(rev, batch_format="pyarrow")
     fact = broadcast_lookup_join(
         fact, supp, on="l_suppkey", right_on="s_suppkey",
-        payload=["s_nationkey"], fallback_parts=max(2, nparts // 4),
+        payload=["s_nationkey"],
     )
     fact = broadcast_lookup_join(
         fact, oc.select_columns(["o_orderkey", "c_nationkey"]),
         on="l_orderkey", right_on="o_orderkey",
-        payload=["c_nationkey"], fallback_parts=nparts,
+        payload=["c_nationkey"],
     )
 
     a_key = [k for k in keys_ab if name_of[k] == nation_a][0]
@@ -4044,12 +3880,7 @@ def events_basket_pairs(
         ),
         batch_format="pyarrow",
     )
-    joined = distinct.join(
-        rhs,
-        join_type="inner",
-        num_partitions=max(2, _join_parts_bytes(distinct)),
-        on=("basket",),
-    )
+    joined = hash_join(distinct, rhs, "basket")
 
     def keep_pairs(batch: pa.Table) -> pa.Table:
         b = batch.filter(
@@ -4893,7 +4724,6 @@ def q10_returned_revenue(
         on="l_orderkey",
         right_on="o_orderkey",
         payload=["o_custkey"],
-        fallback_parts=_join_parts(sf_dir),
     )
     per_cust = _scrub_schemaless(
         _hagg_auto(fact, "o_custkey", [('rev_c4', 'sum', 'revenue_c4')])
@@ -4988,7 +4818,6 @@ def q13_customer_distribution(sf_dir: str) -> "Dataset | pa.Table":
         _read(sf_dir, "customer", ["c_custkey"]),
         on="o_custkey",
         right_on="c_custkey",
-        fallback_parts=_join_parts(sf_dir, "customer"),
     )
 
     def rename(batch: pa.Table) -> pa.Table:
@@ -5091,7 +4920,6 @@ def q18_large_volume_customers(
         on="o_orderkey",
         right_on="l_orderkey",
         payload=["sum_qty"],
-        fallback_parts=_join_parts(sf_dir, "orders"),
     )
     named = broadcast_lookup_join(
         qualified,
@@ -5099,7 +4927,6 @@ def q18_large_volume_customers(
         on="o_custkey",
         right_on="c_custkey",
         payload=["c_name"],
-        fallback_parts=_join_parts(sf_dir, "customer"),
     )
 
     def project(batch: pa.Table) -> pa.Table:
@@ -5196,7 +5023,6 @@ def q19_disjunctive_revenue(sf_dir: str) -> "Dataset | pa.Table":
         on="l_partkey",
         right_on="p_partkey",
         payload=["qty_lo", "qty_hi"],
-        fallback_parts=_join_parts(sf_dir),
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -5415,13 +5241,15 @@ def q22_dormant_high_balance(
 
             dormant = rich.map_batches(attach, batch_format="pyarrow")
         else:
-            rich_clean = _scrub_schemaless(rich)
+            rich_clean = _schemaful(rich)
             if rich_clean is None:
                 return out_schema.empty_table()
-            joined = rich_clean.join(
-                counts, join_type="left_outer",
-                num_partitions=_join_parts(sf_dir, "orders"),
-                on=("c_custkey",), right_on=("o_custkey",),
+            joined = hash_join(
+                rich_clean,
+                counts,
+                "c_custkey",
+                "o_custkey",
+                how="left outer",
             )
 
             def keep_dormant(batch: pa.Table) -> pa.Table:
@@ -5537,7 +5365,6 @@ def q8_market_share(
         region_custs,
         on="o_custkey",
         right_on="c_custkey",
-        fallback_parts=_join_parts(sf_dir, "orders"),
     )
 
     # part-side semi filter: only p_type parts enter the fact join
@@ -5572,7 +5399,6 @@ def q8_market_share(
         part_keys,
         on="l_partkey",
         right_on="p_partkey",
-        fallback_parts=_join_parts(sf_dir),
     )
     fact = broadcast_lookup_join(
         fact,
@@ -5580,7 +5406,6 @@ def q8_market_share(
         on="l_orderkey",
         right_on="o_orderkey",
         payload=["o_year"],
-        fallback_parts=_join_parts(sf_dir),
     )
 
     def supp_flag(batch: pa.Table) -> pa.Table:
@@ -5603,7 +5428,6 @@ def q8_market_share(
         on="l_suppkey",
         right_on="s_suppkey",
         payload=["is_nat"],
-        fallback_parts=_join_parts(sf_dir, "supplier"),
     )
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -5910,7 +5734,6 @@ def q12_late_shipments(sf_dir: str, grace_days: int = 90) -> "Dataset | pa.Table
         on="l_orderkey",
         right_on="o_orderkey",
         payload=["o_orderdate", "o_orderpriority"],
-        fallback_parts=_join_parts(sf_dir),
     )
     grace_us = int(grace_days) * 86_400_000_000
 
@@ -5985,7 +5808,6 @@ def part_cheapest_per_brand(sf_dir: str) -> "Dataset | pa.Table":
         on="p_brand",
         right_on="p_brand",
         payload=["min_c"],
-        fallback_parts=_join_parts(sf_dir, "part"),
     )
 
     def keep_min(batch: pa.Table) -> pa.Table:
@@ -6755,10 +6577,9 @@ def q21_sole_late_supplier(
     of = orders.map_batches(f_orders, batch_format="pyarrow")
     if li.count() == 0 or of.count() == 0:
         return out_schema.empty_table()
-    nparts = _join_parts(sf_dir)
     joined = broadcast_lookup_join(
         li, of, on="l_orderkey", right_on="o_orderkey",
-        payload=["o_orderdate"], fallback_parts=nparts,
+        payload=["o_orderdate"],
     )
     late_us = int(late_days) * 86_400_000_000
 
@@ -6799,7 +6620,7 @@ def q21_sole_late_supplier(
     )
     back = broadcast_lookup_join(
         ls, oc, on="ok", right_on="ok",
-        payload=["n_supp", "n_late"], fallback_parts=nparts,
+        payload=["n_supp", "n_late"],
     )
 
     def qualify(batch: pa.Table) -> pa.Table:
@@ -6866,9 +6687,8 @@ def q9_widget_revenue(sf_dir: str, name_part: str = "widget") -> "Dataset | pa.T
         return batch.filter(keep).select(["p_partkey"])
 
     wparts = part.map_batches(f_parts, batch_format="pyarrow")
-    nparts = _join_parts(sf_dir)
     li_w = broadcast_semi_join(
-        li, wparts, on="l_partkey", right_on="p_partkey", fallback_parts=nparts
+        li, wparts, on="l_partkey", right_on="p_partkey"
     )
 
     def combine(batch: pa.Table) -> pa.Table:
@@ -6904,7 +6724,7 @@ def q9_widget_revenue(sf_dir: str, name_part: str = "widget") -> "Dataset | pa.T
         osk,
         _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]),
         on="ok", right_on="o_orderkey",
-        payload=["o_orderdate"], fallback_parts=nparts,
+        payload=["o_orderdate"],
     )
     supp_tab = _collect_small(
         _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]), 10_000_000
@@ -7066,7 +6886,6 @@ def q16_supplier_part_counts(
         ),
         on="l_partkey",
         right_on="p_partkey",
-        fallback_parts=_join_parts(sf_dir),
     )
     li_ok = broadcast_semi_join(li, excl, on="l_suppkey", right_on="s_suppkey", anti=True)
 
@@ -7092,7 +6911,6 @@ def q16_supplier_part_counts(
         parts_f,
         on="l_partkey", right_on="p_partkey",
         payload=["p_brand", "p_type", "p_size"],
-        fallback_parts=_join_parts(sf_dir),
     )
     attached_s = _scrub_schemaless(attached)
     if attached_s is None:
@@ -7153,9 +6971,8 @@ def q20_heavy_suppliers(
         return batch.filter(keep).select(["p_partkey"])
 
     wparts = part.map_batches(f_parts, batch_format="pyarrow")
-    nparts = _join_parts(sf_dir)
     li_w = broadcast_semi_join(
-        li, wparts, on="l_partkey", right_on="p_partkey", fallback_parts=nparts
+        li, wparts, on="l_partkey", right_on="p_partkey"
     )
 
     def combine(batch: pa.Table) -> pa.Table:
@@ -7183,7 +7000,7 @@ def q20_heavy_suppliers(
     sq = sq_clean
     pt = _hagg_auto(sq, "pk", [('q', 'sum', 'tq')])
     back = broadcast_lookup_join(
-        sq, pt, on="pk", right_on="pk", payload=["tq"], fallback_parts=nparts
+        sq, pt, on="pk", right_on="pk", payload=["tq"]
     )
 
     def share(batch: pa.Table) -> pa.Table:
@@ -7466,21 +7283,14 @@ def orders_percent_rank(sf_dir: str) -> "Dataset | pa.Table":
 
     od = orders.map_batches(derive, batch_format="pyarrow", batch_size=None)
     ranks, ncust = _grouped_prefix_counts(od)
-    nparts = max(2, _join_parts(sf_dir, table="orders"))
-    od_s = _scrub_schemaless(od)
-    ranks_s = _scrub_schemaless(ranks)
+    od_s = _schemaful(od)
+    ranks_s = _schemaful(ranks)
     if od_s is None or ranks_s is None:
         return out_schema.empty_table()
-    joined = od_s.join(
-        ranks_s,
-        join_type="inner",
-        num_partitions=nparts,
-        on=("cust", "price_c"),
-        right_on=("cust", "price_c"),
-    )
+    joined = hash_join(od_s, ranks_s, ["cust", "price_c"])
     withn = broadcast_lookup_join(
         joined, ncust, on="cust", right_on="cust",
-        payload=["n"], fallback_parts=nparts,
+        payload=["n"],
     )
 
     def finalize(batch: pa.Table) -> pa.Table:
@@ -7580,11 +7390,9 @@ def q2_min_cost_supplier(sf_dir: str) -> "Dataset | pa.Table":
 
     li = broadcast_semi_join(
         li, parts, on="l_partkey", right_on="p_partkey",
-        fallback_parts=_join_parts(sf_dir),
     )
     li = broadcast_semi_join(
         li, supp_eu, on="l_suppkey", right_on="s_suppkey",
-        fallback_parts=_join_parts(sf_dir),
     )
 
     _pair_schema = pa.schema(
@@ -7834,7 +7642,6 @@ def orders_constraints(sf_dir: str) -> "Dataset | pa.Table":
         on="o_custkey",
         right_on="c_custkey",
         anti=True,
-        fallback_parts=_join_parts(sf_dir, table="orders"),
     ).count()
 
     checks = [
@@ -7962,17 +7769,11 @@ def part_skyline(sf_dir: str) -> "Dataset | pa.Table":
         )
 
     f = g.map_batches(frontier, batch_format="pyarrow", batch_size=None)
-    d_s = _scrub_schemaless(d)
-    f_s = _scrub_schemaless(f)
+    d_s = _schemaful(d)
+    f_s = _schemaful(f)
     if d_s is None or f_s is None:
         return out_schema.empty_table()
-    joined = d_s.join(
-        f_s,
-        join_type="inner",
-        num_partitions=max(2, _join_parts(sf_dir, table="part")),
-        on=("price_c", "p_size"),
-        right_on=("price_c", "ms"),
-    )
+    joined = hash_join(d_s, f_s, ["price_c", "p_size"], ["price_c", "ms"])
     return joined.select_columns(["p_partkey", "price_c", "p_size"])
 
 
@@ -8684,7 +8485,6 @@ def supplier_hhi(sf_dir: str) -> "Dataset | pa.Table":
         on="sk",
         right_on="s_suppkey",
         payload=["s_nationkey"],
-        fallback_parts=_join_parts(sf_dir, "supplier"),
     )
 
     _SQ = ("s2_a_hi", "s2_a_lo", "s2_b_hi", "s2_b_lo", "s2_c_hi", "s2_c_lo")
@@ -8822,7 +8622,6 @@ def orders_lineitem_reconcile(sf_dir: str) -> "Dataset | pa.Table":
         on="ok",
         right_on="o_orderkey",
         payload=["o_orderstatus", "o_totalprice"],
-        fallback_parts=_join_parts(sf_dir, "orders"),
     )
 
     _P = ("n", "mm", "d_hi", "d_lo")

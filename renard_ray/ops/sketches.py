@@ -550,11 +550,8 @@ def source_distinct_words_hll(sf_dir: str, p: int = 12) -> Dataset:
             }
         )
 
-    parts = ds.map_batches(partial, batch_format="pyarrow")
-    from renard_ray.ops.relational import drop_empty_blocks
-
-    scrubbed = drop_empty_blocks(parts)
-    if scrubbed is None:
+    parts = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    if parts.count() == 0:
         # a wordless corpus leaves only schema-less empty partials —
         # return a TYPED empty so downstream column compares see the
         # real names (the link_prediction convention)
@@ -564,7 +561,7 @@ def source_distinct_words_hll(sf_dir: str, p: int = 12) -> Dataset:
                  ("distinct_words_est", pa.int64())]
             ).empty_table()
         )
-    merged = _hagg_auto(scrubbed, ["source", "reg"], [("rank", "max", "rank")])
+    merged = _hagg_auto(parts, ["source", "reg"], [("rank", "max", "rank")])
 
     def contrib(batch: pa.Table) -> pa.Table:
         r = np.asarray(batch.column("rank"), dtype=np.float64)

@@ -25,6 +25,7 @@ from ray.data import Dataset
 from ray.data.aggregate import Sum
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 
 def salted_groupby_sum(
@@ -64,7 +65,6 @@ def skew_aware_join(
     right: Dataset,
     on: str,
     right_on: str | None = None,
-    num_partitions: int = 8,
     hot_threshold: int = 100_000,
     broadcast_row_cap: int = 2_000_000,
 ) -> Dataset:
@@ -104,10 +104,9 @@ def skew_aware_join(
         return batch.select([c for c in out_cols if c in batch.column_names])
 
     def plain() -> Dataset:
-        return left.join(
-            right, join_type="inner", num_partitions=num_partitions,
-            on=(on,), right_on=(right_on,),
-        ).map_batches(order_cols, batch_format="pyarrow")
+        return hash_join(left, right, on, right_on).map_batches(
+            order_cols, batch_format="pyarrow"
+        )
 
     # per-key counts, one key-column pass per side (distinct-key sized,
     # distributed); materialized because each is scanned twice below
@@ -175,17 +174,16 @@ def skew_aware_join(
         hit = pc.is_valid(pc.index_in(batch.column(col).combine_chunks(), value_set=ks))
         return batch.filter(hit if keep else pc.invert(hit))
 
-    cold = left.map_batches(
-        split, fn_kwargs={"col": on, "keep": False}, batch_format="pyarrow"
-    ).join(
+    cold = hash_join(
+        left.map_batches(
+            split, fn_kwargs={"col": on, "keep": False}, batch_format="pyarrow"
+        ),
         right.map_batches(
             split, fn_kwargs={"col": right_on, "keep": False},
             batch_format="pyarrow",
         ),
-        join_type="inner",
-        num_partitions=num_partitions,
-        on=(on,),
-        right_on=(right_on,),
+        on,
+        right_on,
     )
     branches = [cold.map_batches(order_cols, batch_format="pyarrow")]
 

@@ -34,6 +34,8 @@ import ray
 from ray.data import Dataset
 from ray.data.aggregate import Max, Sum
 
+from renard_ray.ops.hashagg import hash_join
+
 from renard_ray.ops.walks import _node_id_u64, _splitmix64
 
 __all__ = ["spectral_embedding_dataset"]
@@ -59,7 +61,6 @@ def spectral_embedding_dataset(
     triples: Dataset,
     dim: int = 4,
     iters: int = 25,
-    num_partitions: int | None = None,
     tol: float = 1e-7,
     broadcast_limit: int = 5_000_000,
     driver_node_limit: int = 200_000,
@@ -84,7 +85,7 @@ def spectral_embedding_dataset(
     but only ``tol=0`` (exactly ``iters`` rounds) carries the repo's
     byte-determinism guarantee."""
     from renard_ray.ops.graphstats import degree_dataset
-    from renard_ray.ops.relational import _collect_small, _join_parts_bytes
+    from renard_ray.ops.relational import _collect_small
 
     xcols = [f"x{j}" for j in range(dim)]
     ycols = [f"y{j}" for j in range(dim)]
@@ -110,8 +111,6 @@ def spectral_embedding_dataset(
         ),
     )
     scale = float(2**61) / (wmax * 4.0)
-
-    nparts = num_partitions or max(2, _join_parts_bytes(edges))
 
     def both_dirs(batch: pa.Table) -> pa.Table:
         s = batch.column("subj").combine_chunks()
@@ -305,10 +304,7 @@ def spectral_embedding_dataset(
 
             joined = ed.map_batches(attach_bcast, batch_format="pyarrow")
         else:
-            joined = ed.join(
-                cur, join_type="inner", num_partitions=nparts,
-                on=("src",), right_on=("node",),
-            )
+            joined = hash_join(ed, cur, "src", "node")
         from renard_ray.ops.hashagg import hash_aggregate
 
         Ysum = hash_aggregate(

@@ -19,6 +19,7 @@ import ray
 from ray.data import Dataset
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 _WS_RE = re.compile(r"\s+")
 _WORD_RE = re.compile(r"[a-zA-Z']+|[0-9]+|[^\sa-zA-Z0-9']")
@@ -457,11 +458,7 @@ def cross_doc_dup_ngrams(
     (ppm via the shared half-away rounding)."""
     from ray.data.aggregate import Count, Sum
 
-    from renard_ray.ops.relational import (
-        _BCAST_ROW_LIMIT,
-        _collect_small,
-        _join_parts_bytes,
-    )
+    from renard_ray.ops.relational import _BCAST_ROW_LIMIT, _collect_small
 
     limit = _BCAST_ROW_LIMIT if broadcast_limit is None else broadcast_limit
     ds = _read_documents(sf_dir, ["doc_id", "text"])
@@ -534,9 +531,6 @@ def cross_doc_dup_ngrams(
 
         marked = pairs.map_batches(mark, batch_format="pyarrow")
     else:
-        from renard_ray.ops.relational import drop_empty_blocks
-
-        nparts = max(2, _join_parts_bytes(pairs))
         flagged = dup_grams.map_batches(
             lambda b: pa.table(
                 {
@@ -546,10 +540,8 @@ def cross_doc_dup_ngrams(
             ),
             batch_format="pyarrow",
         )
-        # the aggregate->filter chain leaves schema-less empty blocks
-        # that crash the hash join when keys are sparse — strip them
-        flagged = drop_empty_blocks(flagged)
-        if flagged is None:  # no cross-doc duplicate ngram at all
+        flagged = flagged.materialize()
+        if flagged.count() == 0:  # no cross-doc duplicate ngram at all
             marked = pairs.map_batches(
                 lambda b: pa.table(
                     {
@@ -560,10 +552,7 @@ def cross_doc_dup_ngrams(
                 batch_format="pyarrow",
             )
         else:
-            joined = pairs.join(
-                flagged, join_type="left_outer", num_partitions=nparts,
-                on=("ngram",), right_on=("ngram",),
-            )
+            joined = hash_join(pairs, flagged, "ngram", how="left outer")
             marked = joined.map_batches(
                 lambda b: pa.table(
                     {
@@ -644,12 +633,7 @@ def decontaminate(
     in any val document."""
     from ray.data.aggregate import Count, Sum
 
-    from renard_ray.ops.relational import (
-        _BCAST_ROW_LIMIT,
-        _collect_small,
-        _join_parts_bytes,
-        drop_empty_blocks,
-    )
+    from renard_ray.ops.relational import _BCAST_ROW_LIMIT, _collect_small
 
     limit = _BCAST_ROW_LIMIT if broadcast_limit is None else broadcast_limit
     ds = _read_documents(sf_dir, ["doc_id", "text"])
@@ -713,8 +697,8 @@ def decontaminate(
         .select_columns(["ngram"])
     )
 
-    train_pairs = drop_empty_blocks(train_pairs)
-    if train_pairs is None:
+    train_pairs = train_pairs.materialize()
+    if train_pairs.count() == 0:
         return zero_rows
 
     def zero_hit_marks() -> Dataset:
@@ -752,7 +736,6 @@ def decontaminate(
 
         marked = train_pairs.map_batches(mark, batch_format="pyarrow")
     else:
-        nparts = max(2, _join_parts_bytes(train_pairs))
         flagged = bench_grams.map_batches(
             lambda b: pa.table(
                 {
@@ -762,14 +745,11 @@ def decontaminate(
             ),
             batch_format="pyarrow",
         )
-        flagged = drop_empty_blocks(flagged)
-        if flagged is None:  # empty benchmark side: nothing to scrub
+        flagged = flagged.materialize()
+        if flagged.count() == 0:  # empty benchmark side: nothing to scrub
             marked = zero_hit_marks()
         else:
-            joined = train_pairs.join(
-                flagged, join_type="left_outer", num_partitions=nparts,
-                on=("ngram",), right_on=("ngram",),
-            )
+            joined = hash_join(train_pairs, flagged, "ngram", how="left outer")
             marked = joined.map_batches(
                 lambda b: pa.table(
                     {
@@ -1019,16 +999,10 @@ def zipf_spectrum(sf_dir: str) -> Dataset:
             }
         )
 
-    from renard_ray.ops.relational import drop_empty_blocks
-
     spectrum = (
         _hagg_auto(counts.map_batches(count_of_counts, batch_format="pyarrow"), "n_occurrences", [('n_words', 'sum', 'n_words')])
     )
-    # the spectrum has O(sqrt(corpus)) distinct keys — far fewer than
-    # the aggregate's partition count, so it emits SCHEMA-LESS empty
-    # partitions; scrub them before the final sort unions schemas
-    spectrum = drop_empty_blocks(spectrum)
-    if spectrum is None:  # empty corpus
+    if spectrum.count() == 0:  # empty corpus
         return ray.data.from_arrow(
             pa.table(
                 {

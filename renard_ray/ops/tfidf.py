@@ -38,10 +38,11 @@ import ray
 from ray.data import Dataset
 from ray.data.aggregate import Sum
 
-from .relational import _collect_small, _join_parts_bytes
+from .relational import _collect_small
 from .textstats import _WS_RE, _read_documents
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 _DF_LIMIT = 20_000_000  # df-table broadcast budget (rows)
 
@@ -145,7 +146,6 @@ def tfidf_topk(
     # stitch (one sort; interior docs of a block are complete, only the
     # block-EDGE docs' candidate rows — O(k * #blocks) — reach the
     # driver).  No per-doc map_groups.
-    nparts = max(2, _join_parts_bytes(docs))
 
     def emit_tf(batch: pa.Table) -> pa.Table:
         ids, words, tfs = [], [], []
@@ -166,10 +166,7 @@ def tfidf_topk(
     df_r = df_ds.map_batches(
         lambda b: b.rename_columns(["word_", "df"]), batch_format="pyarrow"
     )
-    joined = tf_rows.join(
-        df_r, join_type="inner", num_partitions=nparts,
-        on=("word",), right_on=("word_",),
-    )
+    joined = hash_join(tf_rows, df_r, "word", "word_")
 
     def add_score(batch: pa.Table) -> pa.Table:
         tf_arr = np.asarray(batch.column("tf"), dtype=np.int64)

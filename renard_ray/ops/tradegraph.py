@@ -32,7 +32,6 @@ from ray.data import Dataset
 
 from .relational import (
     _collect_small,
-    _join_parts,
     _read,
     broadcast_lookup_join,
 )
@@ -76,7 +75,6 @@ def trade_edges(sf_dir: str) -> Dataset:
     nt = _collect_small(_read(sf_dir, "nation", ["n_nationkey", "n_name"]), 1000)
     nk = nt.column("n_nationkey").combine_chunks()
     nv = nt.column("n_name").combine_chunks()
-    nparts = _join_parts(sf_dir)
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_quantity", "l_discount"])
 
@@ -92,7 +90,7 @@ def trade_edges(sf_dir: str) -> Dataset:
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
     fact = broadcast_lookup_join(
         fact, supp, on="l_suppkey", right_on="s_suppkey",
-        payload=["s_nationkey"], fallback_parts=max(2, nparts // 4),
+        payload=["s_nationkey"],
     )
 
     # attach the customer nation via fact -> orders -> customer, in
@@ -103,12 +101,12 @@ def trade_edges(sf_dir: str) -> Dataset:
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     fact = broadcast_lookup_join(
         fact, orders, on="l_orderkey", right_on="o_orderkey",
-        payload=["o_custkey"], fallback_parts=nparts,
+        payload=["o_custkey"],
     )
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     fact = broadcast_lookup_join(
         fact, cust, on="o_custkey", right_on="c_custkey",
-        payload=["c_nationkey"], fallback_parts=max(2, nparts // 4),
+        payload=["c_nationkey"],
     )
 
     def name_pair(batch: pa.Table) -> pa.Table:
@@ -362,16 +360,9 @@ def trade_graph_modularity(sf_dir: str) -> Dataset:
             }
         )
 
-    # scrub schema-less empty reduce partitions before the label
-    # attach (tiny inputs can leave hash_aggregate output partitions
-    # empty; see relational.drop_empty_blocks)
-    from renard_ray.ops.relational import drop_empty_blocks
-
-    labels = drop_empty_blocks(
-        nodes.map_batches(label, batch_format="pyarrow")
+    return modularity_dataset(
+        edges, nodes.map_batches(label, batch_format="pyarrow")
     )
-    assert labels is not None  # edges nonempty => nodes nonempty
-    return modularity_dataset(edges, labels)
 
 def trade_graph_pmi(sf_dir: str) -> Dataset:
     """PMI rescore of the trade edges: which nation pairs trade more

@@ -19,7 +19,7 @@ degree attach rides the size-adaptive broadcast-lookup helper and
 falls back to a hash join past the budget — the same planning policy
 as ``pipelines.kg`` canonicalization.  The wedge self-join broadcasts
 the oriented edge table while it fits a row budget (per-batch Arrow
-hash join, no exchange) and uses ``Dataset.join`` past it.
+hash join, no exchange) and uses ``hash_join`` past it.
 
 No counterpart in the reference (no graph analytics at all); sibling
 of ``ops/graphstats.py`` degree/PageRank.
@@ -34,9 +34,10 @@ import ray
 from ray.data import Dataset
 from ray.data.aggregate import Count, Sum
 
+from renard_ray.ops.hashagg import hash_join
+
 from .relational import (
     _collect_small,
-    _join_parts_bytes,
     broadcast_lookup_join,
     broadcast_semi_join,
 )
@@ -105,11 +106,10 @@ def directed_edges(
     return edges.map_batches(both, batch_format="pyarrow")
 
 
-def _orient(edges: Dataset, degrees: Dataset, fallback_parts: int) -> Dataset:
+def _orient(edges: Dataset, degrees: Dataset) -> Dataset:
     """(src, dst) with rank(src) < rank(dst), rank = (deg, name)."""
     with_lo = broadcast_lookup_join(
         edges, degrees, on="lo", right_on="node", payload=["deg"],
-        fallback_parts=fallback_parts,
     ).map_batches(
         lambda b: b.rename_columns(
             [{"deg": "deg_lo"}.get(c, c) for c in b.column_names]
@@ -118,7 +118,6 @@ def _orient(edges: Dataset, degrees: Dataset, fallback_parts: int) -> Dataset:
     )
     both = broadcast_lookup_join(
         with_lo, degrees, on="hi", right_on="node", payload=["deg"],
-        fallback_parts=fallback_parts,
     )
 
     def orient(batch: pa.Table) -> pa.Table:
@@ -149,17 +148,15 @@ def _closed_wedges(
     triples: Dataset,
     *,
     broadcast_limit: int | None = None,
-    num_partitions: int | None = None,
 ) -> tuple[Dataset, Dataset, Dataset, int]:
     """(edges, degrees, closed wedges (pivot, wa, wb), n_edges).
 
     A closed wedge is one triangle, seen from its unique pivot."""
     limit = _EDGE_LIMIT if broadcast_limit is None else broadcast_limit
-    nparts = num_partitions or max(2, _join_parts_bytes(triples))
     edges = _distinct_edges(triples).materialize()  # consumed 3x below
     n_edges = edges.count()
     degrees = _degrees(edges)
-    oriented = _orient(edges, degrees, nparts).materialize()
+    oriented = _orient(edges, degrees).materialize()
 
     # wedge generation: self-join oriented edges on the pivot node.
     # Both out-edges of a pivot meet; keep one order per pair via the
@@ -195,10 +192,7 @@ def _closed_wedges(
             lambda b: b.rename_columns(["src", "b_dst", "b_deg"]),
             batch_format="pyarrow",
         )
-        joined = oriented.join(
-            rhs, join_type="inner", num_partitions=nparts,
-            on=("src",), right_on=("src",),
-        )
+        joined = hash_join(oriented, rhs, "src")
 
         def keep_ordered(batch: pa.Table) -> pa.Table:
             a, b = batch.column("b_dst"), batch.column("dst")
@@ -227,7 +221,7 @@ def _closed_wedges(
     )
     closed = broadcast_semi_join(
         packed_wedges, packed_edges, on="key",
-        limit=limit, fallback_parts=nparts,
+        limit=limit,
     ).map_batches(
         lambda b: b.drop_columns(["key"]), batch_format="pyarrow"
     )
@@ -238,13 +232,11 @@ def triangle_count(
     triples: Dataset,
     *,
     broadcast_limit: int | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """One-row Dataset {n_triangles, n_edges} for the graph of the
     given triple table (edges = distinct undirected pairs)."""
     _edges, _deg, closed, n_edges = _closed_wedges(
-        triples, broadcast_limit=broadcast_limit,
-        num_partitions=num_partitions,
+        triples, broadcast_limit=broadcast_limit
     )
     n_tri = closed.count()
     return ray.data.from_arrow(
@@ -261,7 +253,6 @@ def clustering_coefficient(
     triples: Dataset,
     *,
     broadcast_limit: int | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Per-node local clustering coefficient:
     ``cc = 2*T(v) / (deg(v) * (deg(v)-1))`` (0 when deg < 2), with the
@@ -274,8 +265,7 @@ def clustering_coefficient(
     join.  Output: (node, deg, n_triangles, cc) — cc as an exact
     ratio-rounded double (6 digits)."""
     _edges, degrees, closed, _n = _closed_wedges(
-        triples, broadcast_limit=broadcast_limit,
-        num_partitions=num_partitions,
+        triples, broadcast_limit=broadcast_limit
     )
 
     def corners(batch: pa.Table) -> pa.Table:
@@ -315,11 +305,7 @@ def clustering_coefficient(
 
         with_t = degrees.map_batches(attach, batch_format="pyarrow")
     else:
-        nparts = num_partitions or max(2, _join_parts_bytes(triples))
-        joined = degrees.join(
-            tri_per_node, join_type="left_outer", num_partitions=nparts,
-            on=("node",), right_on=("node",),
-        )
+        joined = hash_join(degrees, tri_per_node, "node", how="left outer")
         with_t = joined.map_batches(
             lambda b: b.set_column(
                 b.column_names.index("n_triangles"),
@@ -373,7 +359,6 @@ def link_prediction(
     *,
     max_center_degree: int | None = None,
     broadcast_limit: int | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Common-neighbor link prediction over the KG: rank NON-adjacent
     node pairs by their number of shared neighbors — the classic
@@ -388,7 +373,7 @@ def link_prediction(
 
     Shape: one self-join of the directed edge list on the center node
     (size-adaptive: broadcast + per-batch Arrow join under the row
-    budget, ``Dataset.join`` past it), one ``groupby(a, b).sum``, a
+    budget, ``hash_join`` past it), one ``groupby(a, b).sum``, a
     packed-key ANTI join against the edge list, top-k sort.  Pairs are
     normalized lexicographically (a < b).
 
@@ -400,7 +385,6 @@ def link_prediction(
     (degrees from the FULL graph even under the hub cap).
     """
     limit = _EDGE_LIMIT if broadcast_limit is None else broadcast_limit
-    nparts = num_partitions or max(2, _join_parts_bytes(triples))
     edges = _distinct_edges(triples).materialize()
 
     directed = directed_edges(edges, node_col="ctr", nbr_col="nbr")
@@ -442,14 +426,14 @@ def link_prediction(
                     expr=f"deg <= {int(max_center_degree)}"
                 ),
                 on="ctr", right_on="node",
-                limit=limit, fallback_parts=nparts,
+                limit=limit,
             )
 
     # attach the center's Adamic-Adar weight 1/ln(deg) once (degree
     # table is vocabulary-bounded; size-adaptive lookup join)
     with_deg = broadcast_lookup_join(
         directed, degrees, on="ctr", right_on="node", payload=["deg"],
-        limit=limit, fallback_parts=nparts,
+        limit=limit,
     )
 
     def add_wd(batch: pa.Table) -> pa.Table:
@@ -503,10 +487,7 @@ def link_prediction(
             ),
             batch_format="pyarrow",
         )
-        joined = directed.join(
-            rhs, join_type="inner", num_partitions=nparts,
-            on=("ctr",), right_on=("ctr",),
-        )
+        joined = hash_join(directed, rhs, "ctr")
 
         def keep_pairs(batch: pa.Table) -> pa.Table:
             keep = pc.less(batch.column("b_nbr"), batch.column("nbr"))
@@ -543,11 +524,11 @@ def link_prediction(
 
     counts = broadcast_lookup_join(
         counts, _renamed("deg_a"), on="a", right_on="node",
-        payload=["deg_a"], limit=limit, fallback_parts=nparts,
+        payload=["deg_a"], limit=limit,
     )
     counts = broadcast_lookup_join(
         counts, _renamed("deg_b"), on="b", right_on="node",
-        payload=["deg_b"], limit=limit, fallback_parts=nparts,
+        payload=["deg_b"], limit=limit,
     )
 
     def round_aa(batch: pa.Table) -> pa.Table:
@@ -583,7 +564,7 @@ def link_prediction(
     )
     non_edges = broadcast_semi_join(
         packed_pairs, packed_edges, on="key", anti=True,
-        limit=limit, fallback_parts=nparts,
+        limit=limit,
     ).map_batches(lambda b: b.drop_columns(["key"]), batch_format="pyarrow")
 
     out = non_edges.sort(
@@ -645,7 +626,6 @@ def ktruss_dataset(
     k: int = 4,
     *,
     broadcast_limit: int | None = None,
-    num_partitions: int | None = None,
     max_rounds: int = 64,
 ) -> Dataset:
     """k-truss subgraph (Cohen 2008 — public reference): the maximal
@@ -712,8 +692,7 @@ def ktruss_dataset(
     n_prev = -1
     for _round in range(max_rounds):
         edges, _deg, closed, n_edges = _closed_wedges(
-            cur, broadcast_limit=broadcast_limit,
-            num_partitions=num_partitions,
+            cur, broadcast_limit=broadcast_limit
         )
         if n_edges == 0:
             return ray.data.from_arrow(out_schema.empty_table())
@@ -805,7 +784,6 @@ def motif_census_dataset(
     triples: Dataset,
     *,
     broadcast_limit: int | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Directed 3-node motif census over the simple digraph (Milo et
     al., "Network motifs", Science 2002 — public reference): one-row
@@ -822,11 +800,10 @@ def motif_census_dataset(
 
     Scale shape: ONE wedge self-join of the distinct directed edge
     list on the middle node (broadcast per-batch Arrow join under the
-    row budget, ``Dataset.join`` hash exchange past it) and TWO
+    row budget, the ``hash_join`` exchange past it) and TWO
     packed-key semi joins for the closures — the directed sibling of
     ``triangle_count``'s plan; nothing graph-sized on the driver."""
     limit = _EDGE_LIMIT if broadcast_limit is None else broadcast_limit
-    nparts = num_partitions or max(2, _join_parts_bytes(triples))
 
     edges = _distinct_directed(triples).materialize()
     n_edges = edges.count()
@@ -854,7 +831,7 @@ def motif_census_dataset(
             ),
             batch_format="pyarrow",
         ),
-        keys, on="k", right_on="k", limit=limit, fallback_parts=nparts,
+        keys, on="k", right_on="k", limit=limit,
     ).count()
     n_recip = rev_hits // 2
 
@@ -883,10 +860,7 @@ def motif_census_dataset(
         mid = edges.map_batches(
             lambda b: b.rename_columns(["a", "mid"]), batch_format="pyarrow"
         )
-        wedges = mid.join(
-            edges, join_type="inner", num_partitions=nparts,
-            on=("mid",), right_on=("src",),
-        ).map_batches(
+        wedges = hash_join(mid, edges, "mid", "src").map_batches(
             lambda b: pa.table(
                 {
                     "a": b.column("a"),
@@ -903,7 +877,7 @@ def motif_census_dataset(
             lambda b: pa.table({"k": _pack(b.column("a"), b.column("c"))}),
             batch_format="pyarrow",
         ),
-        keys, on="k", right_on="k", limit=limit, fallback_parts=nparts,
+        keys, on="k", right_on="k", limit=limit,
     ).count()
 
     def cyc_key(batch: pa.Table) -> pa.Table:
@@ -916,7 +890,7 @@ def motif_census_dataset(
 
     n_cyc = broadcast_semi_join(
         wedges.map_batches(cyc_key, batch_format="pyarrow"),
-        keys, on="k", right_on="k", limit=limit, fallback_parts=nparts,
+        keys, on="k", right_on="k", limit=limit,
     ).count()
 
     return ray.data.from_arrow(

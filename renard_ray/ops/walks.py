@@ -13,7 +13,7 @@ Scale shape — the walk state NEVER lands on the driver:
   the adjacency's dst side once via the size-adaptive lookup join;
 - per step: ONE join (walk frontier x adjacency on the current node —
   broadcast per-batch Arrow join while the edge table fits the row
-  budget, hash ``Dataset.join`` past it) fans each walk out to its
+  budget, ``hash_join`` past it) fans each walk out to its
   candidate neighbors, then ONE ``groupby(walk).Min`` over an
   Arrow-packed (priority, neighbor) string picks the next hop — the
   same encoded-key argmin trick as label propagation / display-name
@@ -42,6 +42,7 @@ from ray.data.aggregate import Count, Min
 from renard_ray.ops.graphstats import _distinct_adjacency
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 __all__ = ["random_walks_dataset", "random_walks_bruteforce"]
 
@@ -115,7 +116,6 @@ def random_walks_dataset(
     p: float = 1.0,
     q: float = 1.0,
     broadcast_limit: int = 5_000_000,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Random-walk corpus over the undirected distinct-pair graph of a
     triple table — uniform (DeepWalk) by default, node2vec-biased
@@ -144,11 +144,7 @@ def random_walks_dataset(
     walks_per_node, walk_len, p, q) — independent of partitioning,
     retries and execution order (priorities are content hashes; the
     per-step reduce is an exact string Min)."""
-    from renard_ray.ops.relational import (
-        _collect_small,
-        _join_parts_bytes,
-        broadcast_lookup_join,
-    )
+    from renard_ray.ops.relational import _collect_small, broadcast_lookup_join
 
     out_schema = pa.schema(
         [
@@ -162,7 +158,6 @@ def random_walks_dataset(
     if edges is None or walks_per_node <= 0 or walk_len <= 0:
         return ray.data.from_arrow(out_schema.empty_table())
     edges = edges.materialize()
-    nparts = num_partitions or max(2, _join_parts_bytes(edges))
 
     # vocabulary pass: stable md5-derived int id per node (undirected
     # adjacency emits both directions, so 'src' covers every node)
@@ -201,7 +196,7 @@ def random_walks_dataset(
             batch_format="pyarrow",
         ),
         on="nxt", right_on="node", payload=["nxt_nid"],
-        limit=broadcast_limit, fallback_parts=nparts,
+        limit=broadcast_limit,
     ).materialize()
 
     biased = not (p == 1.0 and q == 1.0)
@@ -341,10 +336,7 @@ def random_walks_dataset(
 
             cands = frontier.map_batches(expand, batch_format="pyarrow")
         else:
-            joined = frontier.join(
-                adj, join_type="inner", num_partitions=nparts,
-                on=("cur",), right_on=("cur",),
-            )
+            joined = hash_join(frontier, adj, "cur")
             if biased:
                 with_ck = joined.map_batches(
                     lambda b: b.append_column(
@@ -356,9 +348,12 @@ def random_walks_dataset(
                     ),
                     batch_format="pyarrow",
                 )
-                flagged = with_ck.join(
-                    ekds, join_type="left_outer", num_partitions=nparts,
-                    on=("ck",), right_on=("ek",),
+                flagged = hash_join(
+                    with_ck,
+                    ekds,
+                    "ck",
+                    "ek",
+                    how="left outer",
                 )
 
                 def score_flag(batch: pa.Table, _step=step) -> pa.Table:

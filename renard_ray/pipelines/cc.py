@@ -30,6 +30,7 @@ import ray
 from ray.data import Dataset
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.hashagg import hash_join
 
 
 def _distinct_edges(edges: Dataset, u: str = "u", v: str = "v") -> Dataset:
@@ -87,7 +88,7 @@ def _driver_cc(edges: Dataset) -> dict[str, str]:
     )
 
 
-def _star_round(edges: Dataset, large: bool, nparts: int = 2) -> Dataset:
+def _star_round(edges: Dataset, large: bool) -> Dataset:
     """One large-star or small-star round.
 
     Fully vectorized: per-node minimum via a stock ``groupby.min``
@@ -122,10 +123,7 @@ def _star_round(edges: Dataset, large: bool, nparts: int = 2) -> Dataset:
     mins_m = _hagg_auto(both, "node", [('nbr', 'min', 'min(nbr)')]).map_batches(
         with_m, batch_format="pyarrow"
     )
-    joined = both.join(
-        mins_m, join_type="inner", num_partitions=nparts,
-        on=("node",), right_on=("node_",),
-    )
+    joined = hash_join(both, mins_m, "node", "node_")
 
     def emit(batch: pa.Table) -> pa.Table:
         node = batch.column("node").combine_chunks()
@@ -164,16 +162,9 @@ def _distributed_cc(edges: Dataset, max_rounds: int = 25) -> Dataset:
     """
     cur = edges
     prev_sig: tuple[int, int] | None = None
-    try:
-        n_edges = edges.count()
-    except Exception:
-        n_edges = 1 << 20
-    # single partition for tiny inputs (Ray 2.49 join crashes on an
-    # all-empty left hash partition); bytes-scale width otherwise
-    nparts = 1 if n_edges < 10_000 else max(2, min(512, n_edges // 250_000 + 2))
     for _ in range(max_rounds):
-        cur = _star_round(cur, large=True, nparts=nparts)
-        cur = _star_round(cur, large=False, nparts=nparts)
+        cur = _star_round(cur, large=True)
+        cur = _star_round(cur, large=False)
         cur = _distinct_edges(cur, "u", "v").materialize()
 
         def sig_batch(batch: pa.Table) -> pa.Table:

@@ -33,6 +33,8 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
+from renard_ray.ops.hashagg import hash_join
+
 from renard_ray.stages.doc_stages import EDGES_SCHEMA, doc_kernel_batch, extract_text_batch
 from renard_ray.textproc.document import ALIAS_OF, METRIC, NAME_COUNT, DocConfig
 from renard_ray.pipelines.cc import connected_components, union_find
@@ -201,12 +203,8 @@ def _dedup_urls_by_join(pages: Dataset) -> Dataset:
         )
     )
 
-    n_rows = tagged.count()
-    nparts = 1 if n_rows < 100_000 else max(2, min(512, n_rows // 200_000 + 2))
     cols = [c for c in pages.schema().names]
-    joined = tagged.join(
-        winners, join_type="inner", num_partitions=nparts, on=("url",)
-    )
+    joined = hash_join(tagged, winners, "url")
 
     def keep_winner(batch: pa.Table) -> pa.Table:
         keep = pc.equal(batch.column("wk"), batch.column("w_max"))
@@ -442,13 +440,11 @@ def _driver_cc_and_names(
     return out
 
 
-def _distributed_node_canon(stage_rows: Dataset) -> tuple[Dataset, int]:
+def _distributed_node_canon(stage_rows: Dataset) -> Dataset:
     """Distributed canonical-name table: large/small-star CC over the
     alias edges plus ONE stock Min aggregate for the per-component
     display name — no single machine ever holds the name vocabulary.
-    Returns the (node, canonical) Dataset and the hash-join width sized
-    to the stage-row volume (shared by every downstream join so the
-    exchange plan stays consistent)."""
+    Returns the (node, canonical) Dataset."""
     alias = stage_rows.filter(expr=f"pred == {ALIAS_OF!r}").select_columns(
         ["subj", "obj"]
     )
@@ -456,26 +452,11 @@ def _distributed_node_canon(stage_rows: Dataset) -> tuple[Dataset, int]:
         alias, u="subj", v="obj", mode="distributed"
     )
     assert label_ds is not None
-    # shuffle width scaled to the (materialized) stage-row volume —
-    # hundreds of partitions on a tiny input just starves the
-    # aggregator actors (observed hang at 4 CPUs / 200 partitions)
-    try:
-        n_rows = stage_rows.count()
-    except Exception:
-        n_rows = 1 << 20
-    # single partition for tiny inputs: Ray 2.49's hash join crashes
-    # when a hash partition receives ZERO left-side rows (pyarrow
-    # "No match or multiple matches for key field"), which only
-    # happens when keys are scarcer than partitions
-    nparts = 1 if n_rows < 10_000 else max(2, min(512, n_rows // 250_000 + 2))
     canon_counts = (
         _hagg_auto(stage_rows.filter(expr=f"pred == {NAME_COUNT!r}"), "subj", [('weight', 'sum', 'sum(weight)')])
     )
     # display name per label: join counts with labels, argmax per label
-    labeled_counts = canon_counts.join(
-        label_ds, join_type="inner", num_partitions=nparts,
-        on=("subj",), right_on=("node",),
-    )
+    labeled_counts = hash_join(canon_counts, label_ds, "subj", "node")
 
     # display-name pick per label via ONE stock Min aggregate over an
     # order-encoded key (no per-label map_groups — per-tiny-group
@@ -528,9 +509,7 @@ def _distributed_node_canon(stage_rows: Dataset) -> tuple[Dataset, int]:
             batch_format="pyarrow",
         )
     )
-    node_canon = label_ds.join(
-        display, join_type="left_outer", num_partitions=nparts, on=("label",)
-    )
+    node_canon = hash_join(label_ds, display, "label", how="left outer")
 
     def _fallback(batch: pa.Table) -> pa.Table:
         canon = batch.column("canonical")
@@ -538,12 +517,10 @@ def _distributed_node_canon(stage_rows: Dataset) -> tuple[Dataset, int]:
         fixed = pc.if_else(pc.is_null(canon), label, canon)
         return pa.table({"node": batch.column("node"), "canonical": fixed})
 
-    return node_canon.map_batches(_fallback, batch_format="pyarrow"), nparts
+    return node_canon.map_batches(_fallback, batch_format="pyarrow")
 
 
-def _distributed_relabel(
-    edges: Dataset, node_canon: Dataset, nparts: int
-) -> Dataset:
+def _distributed_relabel(edges: Dataset, node_canon: Dataset) -> Dataset:
     """Relabel subj/obj through the (node, canonical) table with two
     left-outer hash joins, then normalize undirected predicates and drop
     the self-loops cross-doc merging creates.  Every non-key column of
@@ -551,10 +528,7 @@ def _distributed_relabel(
     untouched, so callers can thread arbitrary payload columns
     (``kg_growth`` threads the crawl month)."""
 
-    step1 = edges.join(
-        node_canon, join_type="left_outer", num_partitions=nparts,
-        on=("subj",), right_on=("node",),
-    )
+    step1 = hash_join(edges, node_canon, "subj", "node", how="left outer")
 
     def _apply_subj(batch: pa.Table) -> pa.Table:
         c = batch.column("canonical")
@@ -562,10 +536,7 @@ def _distributed_relabel(
         return batch.drop_columns(["subj", "canonical", "node"] if "node" in batch.column_names else ["subj", "canonical"]).append_column("subj", s)
 
     step1 = step1.map_batches(_apply_subj, batch_format="pyarrow")
-    step2 = step1.join(
-        node_canon, join_type="left_outer", num_partitions=nparts,
-        on=("obj",), right_on=("node",),
-    )
+    step2 = hash_join(step1, node_canon, "obj", "node", how="left outer")
 
     def _apply_obj(batch: pa.Table) -> pa.Table:
         c = batch.column("canonical")
@@ -668,8 +639,8 @@ def relabel_and_aggregate(
         edges = stage_rows.filter(
             expr=f"pred != {ALIAS_OF!r} and pred != {NAME_COUNT!r} and pred != {METRIC!r}"
         )
-        node_canon, nparts = _distributed_node_canon(stage_rows)
-        relabeled = _distributed_relabel(edges, node_canon, nparts)
+        node_canon = _distributed_node_canon(stage_rows)
+        relabeled = _distributed_relabel(edges, node_canon)
 
     return _hagg_auto(
         relabeled,
@@ -831,13 +802,13 @@ def kg_growth(pages: Dataset, cfg: KGConfig | None = None) -> Dataset:
         # as relabel_and_aggregate, with the month column threaded
         # through as an ordinary payload column — no single machine
         # ever holds the alias vocabulary
-        node_canon, nparts = _distributed_node_canon(stage_rows)
+        node_canon = _distributed_node_canon(stage_rows)
         slim = edges.map_batches(
             lambda b: b.select(["subj", "pred", "obj", "month"]),
             batch_format="pyarrow",
         )
         relabeled = (
-            _distributed_relabel(slim, node_canon, nparts)
+            _distributed_relabel(slim, node_canon)
             .map_batches(_combine_months, batch_format="pyarrow", batch_size=None)
             .materialize()
         )
@@ -907,8 +878,6 @@ def snapshot_diff(old: Dataset, new: Dataset) -> Dataset:
 
     Output: (subj, pred, obj, status, w_old_c, w_new_c, delta_c),
     absent sides reported as weight 0."""
-    from renard_ray.ops.relational import _join_parts_bytes, drop_empty_blocks
-
     def keyed(ds: Dataset, out: str) -> Dataset:
         def derive(batch: pa.Table) -> pa.Table:
             w = pc.cast(
@@ -995,26 +964,19 @@ def snapshot_diff(old: Dataset, new: Dataset) -> Dataset:
             }
         )
 
-    o = drop_empty_blocks(keyed(old, "w_old_c"))
-    nw = drop_empty_blocks(keyed(new, "w_new_c"))
-    if o is None and nw is None:
-        return ray.data.from_arrow(empty)
-    if o is None or nw is None:
-        side = nw if o is None else o
-        return side.map_batches(
-            lambda b, _old=(nw is None): finalize(
-                b, w_old_present=_old, w_new_present=not _old
-            ),
-            batch_format="pyarrow",
-        )
-    joined = o.join(
-        nw,
-        join_type="full_outer",
-        num_partitions=max(2, _join_parts_bytes(nw)),
-        on=("subj", "pred", "obj"),
+    # a schema-less side (no rows at all) joins as its key columns only,
+    # so its weight column is present exactly when that side is
+    joined = hash_join(
+        keyed(old, "w_old_c"), keyed(new, "w_new_c"),
+        ["subj", "pred", "obj"], how="full outer",
     )
+    if joined.count() == 0:
+        return ray.data.from_arrow(empty)
     return joined.map_batches(
-        lambda b: finalize(b, True, True), batch_format="pyarrow"
+        lambda b: finalize(
+            b, "w_old_c" in b.column_names, "w_new_c" in b.column_names
+        ),
+        batch_format="pyarrow",
     )
 
 

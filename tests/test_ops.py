@@ -9074,7 +9074,7 @@ def test_hash_aggregate_distinct_and_empty(ray_session):
 
     # a row-lambda filter erases the schema entirely (Ray emits blocks
     # with no columns) — mirror the built-in: a schema-less EMPTY
-    # result the caller's drop_empty_blocks/_scrub_schemaless handles
+    # result the caller handles (``_schemaful``/``_scrub_schemaless``)
     lamb = ray.data.from_arrow(t).filter(lambda r: False).materialize()
     if lamb.schema(fetch_if_missing=False) is None:
         lout = hash_aggregate(lamb, "k", [("v", "sum", "s")], num_partitions=2)
@@ -9293,7 +9293,7 @@ def test_motif_census_matches_bruteforce(ray_session):
     assert want["n_transitive_ffl"] > 0 and want["n_cyclic"] > 0  # non-trivial
 
     ds = ray.data.from_pandas(df).repartition(3)
-    for kwargs in ({}, {"broadcast_limit": 0, "num_partitions": 2}):
+    for kwargs in ({}, {"broadcast_limit": 0}):
         got = motif_census_dataset(ds, **kwargs).to_pandas().iloc[0].to_dict()
         assert got == want, kwargs
 
@@ -10150,3 +10150,223 @@ def test_broadcast_lookup_searchsorted_parity(ray_session):
     )
     gs = broadcast_lookup_join(ls, rs, on="k", right_on="k", payload=["v"]).to_pandas()
     assert sorted(gs["v"].tolist()) == sorted(range(0, 50, 2))
+
+
+def _join_sides():
+    """Hypothesis strategy for ``hash_join``: (left blocks, right blocks,
+    on, right_on, how) over int, string and two-column keys and an
+    int32-vs-int64 key pair, with null and duplicate keys, 0-row and
+    0-column blocks, and sides with no row at all."""
+    import pyarrow as pa
+    from hypothesis import strategies as st
+
+    ints = st.one_of(st.none(), st.integers(0, 4))
+    strs = st.one_of(st.none(), st.sampled_from(["a", "b", "c"]))
+    kinds = {
+        "int": (["k"], ["k"], [pa.int64()], [pa.int64()], [ints]),
+        "str": (["k"], ["k"], [pa.string()], [pa.string()], [strs]),
+        "two": (["k1", "k2"], ["r1", "r2"], [pa.int64(), pa.string()],
+                [pa.int64(), pa.string()], [ints, strs]),
+        "i32_i64": (["k"], ["rk"], [pa.int32()], [pa.int64()], [ints]),
+    }
+
+    @st.composite
+    def sides(draw):
+        on, right_on, ltypes, rtypes, vals = kinds[
+            draw(st.sampled_from(sorted(kinds)))
+        ]
+
+        def side(names, types, payload):
+            blocks = []
+            for _ in range(draw(st.integers(0, 3))):
+                n = draw(st.integers(0, 6))
+                cols = {
+                    c: pa.array(draw(st.lists(v, min_size=n, max_size=n)), t)
+                    for c, t, v in zip(names, types, vals)
+                }
+                cols[payload] = pa.array(
+                    draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)),
+                    pa.int64(),
+                )
+                blocks.append(pa.table(cols))
+            if not blocks or draw(st.booleans()):
+                blocks.append(
+                    pa.schema(
+                        list(zip(names, types)) + [(payload, pa.int64())]
+                    ).empty_table()
+                )
+            if draw(st.booleans()):
+                blocks.insert(draw(st.integers(0, len(blocks))), pa.table({}))
+            return blocks
+
+        how = draw(st.sampled_from(
+            ["inner", "left outer", "full outer", "left semi", "left anti"]
+        ))
+        return (side(on, ltypes, "a"), side(right_on, rtypes, "b"),
+                on, right_on, how)
+
+    return sides()
+
+
+def test_hash_join_matches_arrow_join(ray_session):
+    """``hash_join`` over Ray blocks == one ``pa.Table.join`` over the
+    concatenated sides (keys cast to their common type): same rows,
+    same schema, for every join type, key shape and degenerate block
+    layout the strategy draws."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    from hypothesis import given, settings
+
+    import ray
+
+    from renard_ray.ops.hashagg import hash_join
+
+    def rows(t):
+        return t.sort_by([(c, "ascending") for c in t.column_names])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_join_sides())
+    def check(case):
+        lblocks, rblocks, on, right_on, how = case
+        got = pa.concat_tables(ray.get(hash_join(
+            ray.data.from_arrow(lblocks), ray.data.from_arrow(rblocks),
+            on, right_on, how,
+        ).to_arrow_refs()))
+
+        left = pa.concat_tables([b for b in lblocks if b.num_columns])
+        right = pa.concat_tables([b for b in rblocks if b.num_columns])
+        for lk, rk in zip(on, right_on):
+            if left.schema.field(lk).type != right.schema.field(rk).type:
+                left = left.set_column(
+                    left.schema.get_field_index(lk), lk,
+                    pc.cast(left.column(lk), pa.int64()),
+                )
+                right = right.set_column(
+                    right.schema.get_field_index(rk), rk,
+                    pc.cast(right.column(rk), pa.int64()),
+                )
+        want = left.join(right, keys=on, right_keys=right_on, join_type=how)
+        assert got.schema == want.schema
+        assert rows(got).equals(rows(want))
+
+    check()
+
+    # a schema-less side (zero rows through 0-column blocks) joins as
+    # a zero-row table of its key columns
+    left = ray.data.from_arrow([pa.table({"k": [1, 2, None], "a": [1, 2, 3]})])
+    nothing = ray.data.from_arrow([pa.table({})])
+    out = pa.concat_tables(ray.get(
+        hash_join(left, nothing, "k", how="left anti").to_arrow_refs()
+    ))
+    assert rows(out).equals(rows(pa.table({"k": [1, 2, None], "a": [1, 2, 3]})))
+    assert hash_join(left, nothing, "k").count() == 0
+    assert hash_join(nothing, nothing, "k").schema() is None
+
+
+def test_no_ray_data_join_left(ray_session, monkeypatch):
+    """No engine path reaches Ray Data's ``Dataset.join``: with it
+    patched to raise, the forced hash-join fallbacks of the broadcast
+    joins, distributed connected components on a tiny graph (P >= 2
+    partitions, most of them empty on one side), the distributed
+    relabel and ``snapshot_diff``'s full outer join all still agree
+    with their broadcast / driver counterparts."""
+    import pyarrow as pa
+
+    import ray
+    from ray.data import Dataset
+
+    from renard_ray.ops.relational import (
+        broadcast_lookup_join,
+        broadcast_semi_join,
+    )
+    from renard_ray.pipelines.cc import connected_components
+    from renard_ray.pipelines.kg import (
+        KGConfig,
+        relabel_and_aggregate,
+        snapshot_diff,
+    )
+
+    def table(ds):
+        t = pa.concat_tables(
+            [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+        ).select(sorted(ds.schema().names))
+        return t.sort_by([(c, "ascending") for c in t.column_names])
+
+    left = ray.data.from_arrow(
+        pa.table({"k": [1, 2, 3, None, 2], "x": [10, 20, 30, 40, 50]})
+    )
+    right = ray.data.from_arrow(
+        pa.table({"rk": [2, 3, 3, None, 7], "p": [1, 2, 2, 3, 4]})
+    )
+    uniq = ray.data.from_arrow(pa.table({"rk": [2, 3, None], "p": [5, 6, 7]}))
+    broadcast = {
+        "semi": table(broadcast_semi_join(left, right, "k", "rk")),
+        "anti": table(broadcast_semi_join(left, right, "k", "rk", anti=True)),
+        "lookup": table(broadcast_lookup_join(left, uniq, "k", "rk", ["p"])),
+    }
+    edges = ray.data.from_arrow(pa.table(
+        {"u": ["a", "b", "d", "x"], "v": ["b", "c", "e", "y"]}
+    ))
+    label_map, _ = connected_components(edges, mode="driver")
+    rows = ray.data.from_items([
+        {"subj": s, "pred": p, "obj": o, "weight": float(w),
+         "polarity": 0.0, "block_id": 0}
+        for s, p, o, w in [
+            ("Darcy", "alias_of", "doc1#c0", 1),
+            ("Mr. Darcy", "alias_of", "doc1#c0", 1),
+            ("Darcy", "name_count", "", 3),
+            ("Mr. Darcy", "name_count", "", 3),
+            ("Bingley", "name_count", "", 1),
+            ("Darcy", "co_occurs_with", "Bingley", 2),
+        ]
+    ])
+    driver = table(relabel_and_aggregate(rows, KGConfig(cc_mode="driver")))
+
+    def no_join(*args, **kwargs):
+        raise AssertionError("Dataset.join reached")
+
+    monkeypatch.setattr(Dataset, "join", no_join)
+    assert table(
+        broadcast_semi_join(left, right, "k", "rk", limit=-1)
+    ) == broadcast["semi"]
+    assert table(
+        broadcast_semi_join(left, right, "k", "rk", anti=True, limit=-1)
+    ) == broadcast["anti"]
+    assert table(
+        broadcast_lookup_join(left, uniq, "k", "rk", ["p"], limit=-1)
+    ) == broadcast["lookup"]
+
+    def components(pairs):
+        comp = {}
+        for node, label in pairs:
+            comp.setdefault(label, set()).add(node)
+        return sorted(sorted(c) for c in comp.values())
+
+    _, label_ds = connected_components(edges, mode="distributed")
+    t = table(label_ds)
+    assert components(
+        zip(t.column("node").to_pylist(), t.column("label").to_pylist())
+    ) == components(label_map.items())
+
+    distributed = relabel_and_aggregate(rows, KGConfig(cc_mode="distributed"))
+    assert table(distributed) == driver
+
+    def triples(items):
+        return ray.data.from_arrow(pa.table({
+            "subj": pa.array([i[0] for i in items], pa.string()),
+            "pred": pa.array(["co_occurs_with"] * len(items), pa.string()),
+            "obj": pa.array([i[1] for i in items], pa.string()),
+            "weight": pa.array([i[2] for i in items], pa.float64()),
+        }))
+
+    diff = table(snapshot_diff(
+        triples([("a", "b", 1.0), ("a", "d", 0.5)]),
+        triples([("a", "b", 2.0), ("a", "e", 4.0)]),
+    ))
+    assert diff.select(["subj", "obj", "status", "delta_c"]).sort_by(
+        "obj"
+    ).to_pylist() == [
+        {"subj": "a", "obj": "b", "status": "changed", "delta_c": 100},
+        {"subj": "a", "obj": "d", "status": "removed", "delta_c": -50},
+        {"subj": "a", "obj": "e", "status": "added", "delta_c": 400},
+    ]
