@@ -1,8 +1,8 @@
 """Distributed AS-OF join (point-in-time enrichment).
 
-Ray Data has no as-of join; this builds one from a sort + a
-vectorized per-block forward-fill + an O(#blocks) driver stitch — the
-same sorted-run/boundary-stitch machinery as ``events_sessionize``:
+Ray Data has no as-of join; this builds one on ``sorted_run_scan``
+(``ops/runscan.py``) — a sort, a vectorized per-block forward-fill and
+an O(#blocks) driver stitch:
 
 1. the RIGHT side (enrichment events) is pre-aggregated to one row per
    (key, ts) carrying the max id — the deterministic tie rule;
@@ -10,18 +10,16 @@ same sorted-run/boundary-stitch machinery as ``events_sessionize``:
    1 = left) and go through ONE global ``sort(key, ts, side)`` — at
    equal timestamps the right row sorts first, giving at-or-before
    (``<=``) semantics;
-3. one vectorized pass per sorted block forward-fills the right id
-   within each key (pandas grouped ffill).  Rows of keys INTERIOR to
-   the block finalize locally.  Only rows of the block's FIRST key
-   that precede any in-block right row need a carry-in from earlier
-   blocks — they are emitted as a ``pending`` subset (a Dataset, not
-   driver state: a hub key's pending rows stream through Ray);
-4. per-block summaries (first key, last key, last filled id) — two
-   rows per block — go to the driver, which prefix-scans them in block
-   order to compute each block's carry-in, then broadcasts the tiny
-   {block -> carry} map; ONE vectorized finalize pass emits every row,
-   pending rows taking their block's carry-in (single output schema,
-   no filter+union fan-out).
+3. the scan forward-fills the right id within each key of a sorted
+   block (pandas grouped ffill).  Rows of keys INTERIOR to the block
+   finalize locally.  Only rows of the block's FIRST key that precede
+   any in-block right row need a carry-in from earlier blocks — they
+   are flagged ``pending`` and stay in the block's part (object store,
+   not driver state: a hub key's pending rows stream through Ray);
+4. the block summaries (first key, last key, last filled id) go to
+   the driver, which scans them in block order into each block's
+   carry-in; the finish pass emits every row, pending rows taking
+   their block's carry-in.
 
 Scale: the data moves through exactly one sort shuffle; driver state is
 O(#blocks); skew (a hub key spanning many blocks) degrades to streaming
@@ -36,67 +34,69 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-# one Arrow schema for every block on both union branches — a pandas/
-# arrow block mix makes Ray's schema unification warn on every merge.
-# kind: 'f' final, 'p' pending, 's' summary; last_id is a nullable int
-# carried as float; bk is the block key (first-row identity).
+from .runscan import sorted_run_scan
+
 _OUT_SCHEMA = pa.schema(
     [
-        ("kind", pa.string()),
         ("user_id", pa.int64()),
         ("event_id", pa.int64()),
         ("last_id", pa.float64()),
-        ("bk", pa.string()),
-        ("sum_last_k", pa.float64()),
-        ("sum_end_id", pa.float64()),
     ]
 )
 
 
-def _block_fill(df: pd.DataFrame) -> pa.Table:
-    if df.empty:
-        return _OUT_SCHEMA.empty_table()
+def _block_fill(t: pa.Table):
+    """(part, summary) of one sorted block: the left rows with their
+    in-block forward-filled right id and a pending flag, and the
+    block's (first key, last key, last filled id of the last key)."""
+    df = t.to_pandas()
     # df is sorted by (k, t, side); right rows carry rid, left rows NaN
     filled = df.groupby("k", sort=False)["rid"].ffill()
-    first = df.iloc[0]
-    bk = f"{int(first['k'])}|{int(first['t'])}|{int(first['side'])}|{int(first['row_id'])}"
     left = df["side"] == 1
-    lk = df["k"][left]
-    lid = df["row_id"][left]
-    lfill = filled[left]
     first_k = int(df["k"].iloc[0])
     pending = left & (df["k"] == first_k) & filled.isna()
-
-    import numpy as np
-
-    out = pd.DataFrame(
+    part = pd.DataFrame(
         {
-            "kind": np.where(pending[left].values, "p", "f"),
-            "user_id": lk.astype("int64"),
-            "event_id": lid.astype("int64"),
-            "last_id": lfill,
-            "bk": bk,
-            "sum_last_k": float("nan"),
-            "sum_end_id": float("nan"),
+            "pending": pending[left].values,
+            "user_id": df["k"][left].astype("int64"),
+            "event_id": df["row_id"][left].astype("int64"),
+            "last_id": filled[left],
         }
     )
-
     last_k = int(df["k"].iloc[-1])
     end_fill = filled[df["k"] == last_k]
     end_id = end_fill.iloc[-1] if len(end_fill) else float("nan")
-    summary = pd.DataFrame(
+    end_id = float(end_id) if pd.notna(end_id) else float("nan")
+    return part, (first_k, last_k, end_id)
+
+
+def _stitch_last_ids(summaries: list) -> list[float]:
+    """Carry-in per block: the last right id of its first key over all
+    earlier blocks (NaN when there is none)."""
+    carries = []
+    last_id_by_key: dict[int, float] = {}
+    for first_k, last_k, end_id in summaries:
+        carries.append(last_id_by_key.get(first_k, float("nan")))
+        if pd.notna(end_id):
+            last_id_by_key[last_k] = end_id
+        elif last_k != first_k:
+            last_id_by_key[last_k] = float("nan")
+        # last_k == first_k with no in-block right row: carry passes through
+    return carries
+
+
+def _resolve(part, carry) -> pa.Table:
+    """Pending rows take their block's carry-in; the rest pass."""
+    if part is None:
+        return _OUT_SCHEMA.empty_table()
+    last = part["last_id"].where(~part["pending"], carry)
+    return pa.table(
         {
-            "kind": ["s"],
-            "user_id": [first_k],
-            "event_id": [0],
-            "last_id": [float("nan")],
-            "bk": [bk],
-            "sum_last_k": [float(last_k)],
-            "sum_end_id": [float(end_id) if pd.notna(end_id) else float("nan")],
+            "user_id": pa.array(part["user_id"], pa.int64()),
+            "event_id": pa.array(part["event_id"], pa.int64()),
+            "last_id": pa.array(last.astype("float64"), pa.float64()),
         }
     )
-    res = pd.concat([out, summary], ignore_index=True)
-    return pa.Table.from_pandas(res, schema=_OUT_SCHEMA, preserve_index=False)
 
 
 def asof_join_events(
@@ -142,55 +142,15 @@ def asof_join_events(
             }
         )
 
-    u = (
-        right.map_batches(tag_right, batch_format="pyarrow")
-        .union(left.map_batches(tag_left, batch_format="pyarrow"))
-        .sort(["k", "t", "side", "row_id"])
-        .materialize()
+    return sorted_run_scan(
+        right.map_batches(tag_right, batch_format="pyarrow").union(
+            left.map_batches(tag_left, batch_format="pyarrow")
+        ),
+        ["k", "t", "side", "row_id"],
+        _block_fill,
+        _stitch_last_ids,
+        _resolve,
     )
-    marked = u.map_batches(_block_fill, batch_format="pandas", batch_size=None).materialize()
-
-    # driver stitch: order blocks by their first-row identity (= global
-    # sort order), prefix-scan the per-block summaries into carry-ins
-    summaries = marked.filter(expr="kind == 's'").to_pandas()
-
-    def bk_sort_key(bk: str):
-        k, t, side, rid = bk.split("|")
-        return (int(k), int(t), int(side), int(rid))
-
-    summaries = summaries.sort_values("bk", key=lambda s: s.map(bk_sort_key))
-    carry_map: dict[str, float] = {}
-    last_id_by_key: dict[int, float] = {}
-    for r in summaries.itertuples(index=False):
-        first_k = int(r.user_id)
-        carry = last_id_by_key.get(first_k, float("nan"))
-        carry_map[r.bk] = carry
-        last_k = int(r.sum_last_k)
-        if pd.notna(r.sum_end_id):
-            last_id_by_key[last_k] = float(r.sum_end_id)
-        elif last_k != first_k:
-            last_id_by_key[last_k] = float("nan")
-        # last_k == first_k with no in-block right row: carry passes through
-
-    carry_ref = ray.put(carry_map)
-
-    # ONE finalize pass resolves final AND pending rows (pending rows
-    # take their block's carry-in) — no filter+union fan-out, so every
-    # output block shares one schema and the data is read exactly once
-    def resolve(df: pd.DataFrame) -> pa.Table:
-        cm = ray.get(carry_ref)
-        df = df[df["kind"] != "s"]
-        pend = df["kind"] == "p"
-        last = df["last_id"].where(~pend, df["bk"].map(cm))
-        return pa.table(
-            {
-                "user_id": pa.array(df["user_id"].astype("int64"), pa.int64()),
-                "event_id": pa.array(df["event_id"].astype("int64"), pa.int64()),
-                "last_id": pa.array(last.astype("float64"), pa.float64()),
-            }
-        )
-
-    return marked.map_batches(resolve, batch_format="pandas")
 
 
 def events_last_purchase(sf_dir: str, right_type: str = "purchase") -> Dataset:
@@ -203,6 +163,13 @@ def events_last_purchase(sf_dir: str, right_type: str = "purchase") -> Dataset:
     # materialize once: both the left (all events) and right (purchase
     # events) sides derive from this scan
     ev = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"]).materialize()
+    if ev.count() == 0:
+        # the finalize map below never runs on an empty block
+        return ray.data.from_arrow(
+            pa.schema(
+                [(c, pa.int64()) for c in ("user_id", "event_id", "last_purchase_id")]
+            ).empty_table()
+        )
 
     def as_left(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc

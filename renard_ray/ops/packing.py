@@ -16,10 +16,9 @@ divided/mod'd by the cap, which makes this the one packing formulation
 with an exact DuckDB oracle (greedy bin-packing variants are
 partition-order-dependent and can't be oracle-checked).
 
-Scale shape: one sort by doc_id, one vectorized per-block exclusive
-prefix sum, an O(#blocks) driver scan over per-block token totals (the
-carries), and one finalize pass — the sorted-run + boundary-stitch
-machinery of ``events_running_total`` with a single global partition.
+Scale shape: ``sorted_run_scan`` (``ops/runscan.py``) by doc_id — one
+vectorized per-block exclusive prefix sum, an O(#blocks) driver scan
+over per-block token totals (the carries), and one finish pass.
 Token counts are whitespace tokens, byte-identical to
 ``token_stats.n_ws_tokens`` and its SQL form.
 """
@@ -29,10 +28,19 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
 from ray.data import Dataset
 
+from .runscan import sorted_run_scan
 from .textstats import _WS_RE, _read_documents
+
+_OUT = pa.schema(
+    [
+        ("doc_id", pa.int64()),
+        ("n_tokens", pa.int64()),
+        ("block_id", pa.int64()),
+        ("offset_in_block", pa.int64()),
+    ]
+)
 
 
 def pack_blocks(sf_dir: str, block_tokens: int = 512) -> Dataset:
@@ -52,75 +60,30 @@ def pack_blocks(sf_dir: str, block_tokens: int = 512) -> Dataset:
             }
         )
 
-    sorted_ds = (
-        _read_documents(sf_dir, ["doc_id", "text"])
-        .map_batches(derive, batch_format="pyarrow")
-        .sort("doc_id")
-        .materialize()
+    docs = _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
+        derive, batch_format="pyarrow"
     )
 
-    # per block: exclusive local prefix + one summary row carrying the
-    # block's first doc_id (ordering key) and token total
-    def block_scan(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "kind": pa.array([], pa.string()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_tokens": pa.array([], pa.int64()),
-                    "local_prev": pa.array([], pa.int64()),
-                    "bk": pa.array([], pa.int64()),
-                }
-            )
+    # per block: exclusive local prefix; summary = the block's token total
+    def scan(batch: pa.Table):
         n = np.asarray(batch.column("n_tokens"), dtype=np.int64)
         prev = np.concatenate(([0], np.cumsum(n)[:-1]))
-        first = batch.column("doc_id")[0].as_py()
-        rows = pa.table(
-            {
-                "kind": pa.array(["r"] * len(n)),
-                "doc_id": batch.column("doc_id"),
-                "n_tokens": batch.column("n_tokens"),
-                "local_prev": pa.array(prev),
-                "bk": pa.array([first] * len(n), pa.int64()),
-            }
-        )
-        summary = pa.table(
-            {
-                "kind": pa.array(["s"]),
-                "doc_id": pa.array([first], pa.int64()),
-                "n_tokens": pa.array([int(n.sum())], pa.int64()),
-                "local_prev": pa.array([0], pa.int64()),
-                "bk": pa.array([first], pa.int64()),
-            }
-        )
-        return pa.concat_tables([rows, summary])
+        return (batch, prev), int(n.sum())
 
-    marked = sorted_ds.map_batches(
-        block_scan, batch_format="pyarrow", batch_size=None
-    ).materialize()
+    # O(#blocks) driver prefix-scan over the block totals
+    def stitch(totals: list[int]) -> list[int]:
+        carries = []
+        acc = 0
+        for t in totals:
+            carries.append(acc)
+            acc += t
+        return carries
 
-    # O(#blocks) driver prefix-scan over the summaries
-    summaries = marked.filter(expr="kind == 's'").to_pandas()
-    summaries = summaries.sort_values("bk")
-    carry_map: dict[int, int] = {}
-    acc = 0
-    for r in summaries.itertuples(index=False):
-        carry_map[int(r.bk)] = acc
-        acc += int(r.n_tokens)
-    carry_ref = ray.put(carry_map)
-
-    def finalize(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        batch = batch.filter(pc.equal(batch.column("kind"), "r"))
-        cm = ray.get(carry_ref)
-        bks = np.asarray(batch.column("bk"), dtype=np.int64)
-        # bounded lookup: one carry per distinct block key in the batch
-        carries = np.array([cm[int(b)] for b in np.unique(bks)], dtype=np.int64)
-        prev = (
-            np.asarray(batch.column("local_prev"), dtype=np.int64)
-            + carries[np.searchsorted(np.unique(bks), bks)]
-        )
+    def finish(part, carry) -> pa.Table:
+        if part is None:
+            return _OUT.empty_table()
+        batch, prev = part
+        prev = prev + carry
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
@@ -130,4 +93,4 @@ def pack_blocks(sf_dir: str, block_tokens: int = 512) -> Dataset:
             }
         )
 
-    return marked.map_batches(finalize, batch_format="pyarrow")
+    return sorted_run_scan(docs, "doc_id", scan, stitch, finish)

@@ -41,6 +41,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
 from renard_ray.ops.hashagg import hash_join
+from renard_ray.ops.runscan import sorted_run_scan
 
 _HALF_AWAY = "half_towards_infinity"  # = DuckDB ROUND(double) tie-break
 
@@ -704,13 +705,13 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30) -> Dataset:
     ``gap_minutes`` silence.  Output: (user_id, session_id, n_events),
     session_id 0-based per user in time order.
 
-    Sorted-run + boundary-stitch formulation (no per-group calls —
+    ``sorted_run_scan`` formulation (no per-group calls —
     ``map_groups`` pays ~ms of framework cost per user, which dominated
     the bench at 1.5k users):
 
     1. one global ``sort(user_id, ts)`` — blocks become contiguous
        slices of the (user, time) order;
-    2. one vectorized pass per block: pandas diff/cumsum finds the
+    2. one vectorized scan per block: pandas diff/cumsum finds the
        session runs; users strictly INTERIOR to a block (not the
        block's first or last user) have all their events local, so
        their sessions finalize in-block;
@@ -723,24 +724,12 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30) -> Dataset:
 
     gap_sec = gap_minutes * 60.0
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    sorted_ds = ds.sort(["user_id", "ts"])
-
-    # one Arrow schema for every block on both union branches (pandas/
-    # arrow mixes make Ray's schema unification warn on every merge)
-    sess_schema = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("session_id", pa.int64()),
-            ("n_events", pa.int64()),
-            ("start_us", pa.int64()),
-            ("end_us", pa.int64()),
-            ("final", pa.bool_()),
-        ]
+    out_schema = pa.schema(
+        [("user_id", pa.int64()), ("session_id", pa.int64()), ("n_events", pa.int64())]
     )
 
-    def block_sessions(df: pd.DataFrame) -> pa.Table:
-        if df.empty:
-            return sess_schema.empty_table()
+    def scan(t: pa.Table):
+        df = t.to_pandas()
         new_user = df["user_id"].ne(df["user_id"].shift())
         gap = df["ts"].diff().dt.total_seconds() > gap_sec
         rid = (new_user | gap).cumsum()
@@ -756,83 +745,61 @@ def events_sessionize(sf_dir: str, gap_minutes: int = 30) -> Dataset:
         edge_users = {df["user_id"].iloc[0], df["user_id"].iloc[-1]}
         is_edge = runs["user_id"].isin(edge_users)
         interior = runs[~is_edge]
-        out_int = pd.DataFrame(
+        part = pa.table(
             {
-                "user_id": interior["user_id"],
-                "session_id": interior.groupby("user_id").cumcount(),
-                "n_events": interior["n_events"],
-                "start_us": interior["start_us"],
-                "end_us": interior["end_us"],
-                "final": True,
+                "user_id": pa.array(interior["user_id"], pa.int64()),
+                "session_id": pa.array(interior.groupby("user_id").cumcount(), pa.int64()),
+                "n_events": pa.array(interior["n_events"], pa.int64()),
             }
         )
-        edge = runs[is_edge]
-        out_edge = pd.DataFrame(
-            {
-                "user_id": edge["user_id"],
-                "session_id": -1,
-                "n_events": edge["n_events"],
-                "start_us": edge["start_us"],
-                "end_us": edge["end_us"],
-                "final": False,
-            }
-        )
-        out = pd.concat([out_int, out_edge], ignore_index=True)
-        return pa.Table.from_pandas(out, schema=sess_schema, preserve_index=False)
-
-    marked = sorted_ds.map_batches(
-        block_sessions, batch_format="pandas", batch_size=None
-    ).materialize()
-
-    finals = marked.filter(expr="final == True").select_columns(
-        ["user_id", "session_id", "n_events"]
-    )
+        return part, runs[is_edge][["user_id", "start_us", "end_us", "n_events"]]
 
     # boundary runs: <= 2 edge users per block, counted in RUNS — tiny
-    # at any scale (O(#blocks)), so the stitch is driver-side by design
-    edge_df = (
-        marked.filter(expr="final == False")
-        .select_columns(["user_id", "start_us", "end_us", "n_events"])
-        .to_pandas()
-    )
-    if edge_df.empty:
-        return finals
+    # at any scale (O(#blocks)), so the stitch is driver-side by design;
+    # each edge user's sessions ride to the block of its first run
+    def stitch(edges: list) -> list:
+        for i, e in enumerate(edges):
+            e["blk"] = i
+        # block order is (user, time) order
+        edge_df = pd.concat(edges, ignore_index=True)
+        rows: list[list] = [[] for _ in edges]  # (user_id, session_id, n_events)
+        cur_user = None
+        cur_end = 0
+        cur_n = 0
+        cur_blk = 0
+        sid = 0
+        gap_us = int(gap_sec * 1_000_000)
 
-    edge_df = edge_df.sort_values(["user_id", "start_us"], kind="stable")
-    rows: list[tuple[int, int, int]] = []  # (user_id, session_id, n_events)
-    cur_user = None
-    cur_end = 0
-    cur_n = 0
-    sid = 0
-    gap_us = int(gap_sec * 1_000_000)
+        def flush():
+            if cur_user is not None:
+                rows[cur_blk].append((int(cur_user), sid, int(cur_n)))
 
-    def flush():
-        if cur_user is not None:
-            rows.append((int(cur_user), sid, int(cur_n)))
+        for r in edge_df.itertuples(index=False):
+            if r.user_id != cur_user:
+                flush()
+                cur_user, cur_end, cur_n, sid = r.user_id, r.end_us, r.n_events, 0
+                cur_blk = r.blk
+            elif r.start_us - cur_end > gap_us:
+                flush()
+                sid += 1
+                cur_end, cur_n = r.end_us, r.n_events
+            else:  # merge the adjacent runs into one session
+                cur_end = max(cur_end, r.end_us)
+                cur_n += r.n_events
+        flush()
+        return [
+            pa.Table.from_pylist(
+                [dict(zip(out_schema.names, r)) for r in rs], schema=out_schema
+            )
+            for rs in rows
+        ]
 
-    for r in edge_df.itertuples(index=False):
-        if r.user_id != cur_user:
-            flush()
-            cur_user, cur_end, cur_n, sid = r.user_id, r.end_us, r.n_events, 0
-        elif r.start_us - cur_end > gap_us:
-            flush()
-            sid += 1
-            cur_end, cur_n = r.end_us, r.n_events
-        else:  # merge the adjacent runs into one session
-            cur_end = max(cur_end, r.end_us)
-            cur_n += r.n_events
-    flush()
+    def finish(part, stitched) -> pa.Table:
+        if part is None:
+            return out_schema.empty_table()
+        return pa.concat_tables([part, stitched])
 
-    stitched = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([u for u, _, _ in rows], pa.int64()),
-                "session_id": pa.array([s for _, s, _ in rows], pa.int64()),
-                "n_events": pa.array([n for _, _, n in rows], pa.int64()),
-            }
-        )
-    )
-    return finals.union(stitched)
+    return sorted_run_scan(ds, ["user_id", "ts"], scan, stitch, finish)
 
 
 def part_topk_per_brand(sf_dir: str, k: int = 3) -> Dataset:
@@ -1025,76 +992,58 @@ def customer_order_history(sf_dir: str, segment: str = "AUTOMOBILE") -> Dataset:
     # order (O(#blocks) fragments) while interior customers finalize
     # locally — no per-customer map_groups (framework cost per tiny
     # group dominates with millions of customers).
-    import pandas as pd
-
-    sorted_ds = (
-        joined.select_columns(["o_custkey", "o_orderdate", "o_orderkey"])
-        .sort(["o_custkey", "o_orderdate", "o_orderkey"])
-        .materialize()
-    )
-
-    cols = {
-        "kind": "object",
-        "o_custkey": "int64",
-        "order_keys": "object",
-        "n_orders": "int64",
-        "bk": "object",
-    }
-
-    def block_collect(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
-        # block key = the SORT key of the first row (custkey, date, key)
-        # so fragment order == time order per customer
-        bk = "|".join(
-            str(x)
-            for x in (
-                int(df["o_custkey"].iloc[0]),
-                int(pd.Timestamp(df["o_orderdate"].iloc[0]).value),
-                int(df["o_orderkey"].iloc[0]),
-            )
-        )
+    def scan(t: pa.Table):
+        df = t.to_pandas()
         agg = df.groupby("o_custkey", sort=True).agg(
             order_keys=("o_orderkey", lambda s: ",".join(str(k) for k in s)),
             n_orders=("o_orderkey", "size"),
         ).reset_index()
         first_k, last_k = int(df["o_custkey"].iloc[0]), int(df["o_custkey"].iloc[-1])
         edge = agg["o_custkey"].isin([first_k, last_k])
-        agg["kind"] = ["e" if e else "f" for e in edge]
-        agg["bk"] = bk
-        return agg[["kind", "o_custkey", "order_keys", "n_orders", "bk"]].astype(cols)
+        return agg[~edge], agg[edge]
 
-    marked = sorted_ds.map_batches(
-        block_collect, batch_format="pandas", batch_size=None
-    ).materialize()
-
-    finals = marked.filter(expr="kind == 'f'").select_columns(
-        ["o_custkey", "order_keys", "n_orders"]
+    out_schema = pa.schema(
+        [("o_custkey", pa.int64()), ("order_keys", pa.string()), ("n_orders", pa.int64())]
     )
 
-    # stitch: concat each edge customer's fragments in block order
-    frags = marked.filter(expr="kind == 'e'").to_pandas()
-    if frags.empty:
-        return finals
-    frags = frags.sort_values(
-        "bk", key=lambda s: s.map(lambda x: tuple(int(p) for p in x.split("|")))
+    # concat each edge customer's fragments in block order; the whole
+    # list rides to the block of the customer's first fragment
+    def stitch(frags: list) -> list:
+        acc: dict[int, tuple[list[str], int]] = {}
+        home: dict[int, int] = {}
+        for i, f in enumerate(frags):
+            for r in f.itertuples(index=False):
+                parts, n = acc.get(int(r.o_custkey), ([], 0))
+                acc[int(r.o_custkey)] = (parts + [r.order_keys], n + int(r.n_orders))
+                home.setdefault(int(r.o_custkey), i)
+        mine: list[list[int]] = [[] for _ in frags]
+        for k in sorted(acc):
+            mine[home[k]].append(k)
+        return [
+            pa.table(
+                {
+                    "o_custkey": pa.array(ks, pa.int64()),
+                    "order_keys": pa.array([",".join(acc[k][0]) for k in ks], pa.string()),
+                    "n_orders": pa.array([acc[k][1] for k in ks], pa.int64()),
+                },
+                schema=out_schema,
+            )
+            for ks in mine
+        ]
+
+    def finish(part, stitched) -> pa.Table:
+        if part is None:
+            return out_schema.empty_table()
+        t = pa.Table.from_pandas(part, schema=out_schema, preserve_index=False)
+        return pa.concat_tables([t, stitched])
+
+    return sorted_run_scan(
+        joined.select_columns(["o_custkey", "o_orderdate", "o_orderkey"]),
+        ["o_custkey", "o_orderdate", "o_orderkey"],
+        scan,
+        stitch,
+        finish,
     )
-    acc: dict[int, tuple[list[str], int]] = {}
-    for r in frags.itertuples(index=False):
-        parts, n = acc.get(int(r.o_custkey), ([], 0))
-        acc[int(r.o_custkey)] = (parts + [r.order_keys], n + int(r.n_orders))
-    stitched = ray.data.from_arrow(
-        pa.table(
-            {
-                "o_custkey": pa.array(sorted(acc), pa.int64()),
-                "order_keys": pa.array(
-                    [",".join(acc[k][0]) for k in sorted(acc)], pa.string()
-                ),
-                "n_orders": pa.array([acc[k][1] for k in sorted(acc)], pa.int64()),
-            }
-        )
-    )
-    return finals.union(stitched)
 
 
 def doc_embedding_join(sf_dir: str) -> Dataset:
@@ -1159,13 +1108,10 @@ def events_running_total(sf_dir: str) -> Dataset:
     """Per-event running total of the user's value (integer cents),
     ordered by (ts, event_id) — the cumulative window aggregate
     (``SUM ... OVER (PARTITION BY user ORDER BY ts ROWS UNBOUNDED
-    PRECEDING)``), computed with the sorted-run + boundary-stitch
-    machinery: one sort, one vectorized per-block grouped cumsum,
-    additive carries for block-EDGE users via an O(#blocks) driver
-    prefix-scan, and a second streaming pass over only the edge-user
-    rows.  No per-group calls, no driver data materialization."""
-    import pandas as pd
-
+    PRECEDING)``), computed with ``sorted_run_scan``: one sort, one
+    vectorized per-block grouped cumsum, additive carries for each
+    block's first user via an O(#blocks) driver prefix-scan, and one
+    finish pass.  No per-group calls, no driver data materialization."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
 
     def derive(batch: pa.Table) -> pa.Table:
@@ -1178,98 +1124,58 @@ def events_running_total(sf_dir: str) -> Dataset:
             }
         )
 
-    sorted_ds = (
-        ds.map_batches(derive, batch_format="pyarrow", batch_size=None)
-        .sort(["user_id", "ts", "event_id"])
-        .materialize()
-    )
-
-    cols = {
-        "kind": "object",
-        "user_id": "int64",
-        "event_id": "int64",
-        "running_cents": "int64",
-        "bk": "object",
-        "s_last_k": "int64",
-        "s_last_sum": "int64",
-    }
-
-    def block_scan(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in cols.items()})
+    def scan(t: pa.Table):
+        df = t.to_pandas()
         cum = df.groupby("user_id", sort=False)["value_c"].cumsum()
         first_k = int(df["user_id"].iloc[0])
         last_k = int(df["user_id"].iloc[-1])
-        bk = f"{first_k}|{int(pd.Timestamp(df['ts'].iloc[0]).value)}|{int(df['event_id'].iloc[0])}"
         is_first = df["user_id"] == first_k
-        out = pd.DataFrame(
-            {
-                "kind": ["p" if f else "f" for f in is_first],
-                "user_id": df["user_id"],
-                "event_id": df["event_id"],
-                "running_cents": cum,
-                "bk": bk,
-                "s_last_k": 0,
-                "s_last_sum": 0,
-            }
+        part = (df["user_id"], df["event_id"], cum, is_first)
+        # (first user, its total here, last user, its total here)
+        summary = (
+            first_k,
+            int(df.loc[is_first, "value_c"].sum()),
+            last_k,
+            int(df.loc[df["user_id"] == last_k, "value_c"].sum()),
         )
-        summary = pd.DataFrame(
-            {
-                "kind": ["s"],
-                "user_id": [first_k],
-                "event_id": [0],
-                # total for first_k in this block (carry production)
-                "running_cents": [int(df.loc[is_first, "value_c"].sum())],
-                "bk": [bk],
-                "s_last_k": [last_k],
-                "s_last_sum": [int(df.loc[df["user_id"] == last_k, "value_c"].sum())],
-            }
-        )
-        return pd.concat([out, summary], ignore_index=True).astype(cols)
+        return part, summary
 
-    marked = sorted_ds.map_batches(
-        block_scan, batch_format="pandas", batch_size=None
-    ).materialize()
+    def stitch(summaries: list) -> list[int]:
+        carries = []
+        running: dict[int, int] = {}
+        for first_k, first_sum, last_k, last_sum in summaries:
+            carry = running.get(first_k, 0)
+            carries.append(carry)
+            running[first_k] = carry + first_sum
+            if last_k != first_k:
+                running[last_k] = last_sum
+        return carries
 
-    summaries = marked.filter(expr="kind == 's'").to_pandas()
-
-    def bk_key(bk: str):
-        k, t, e = bk.split("|")
-        return (int(k), int(t), int(e))
-
-    summaries = summaries.sort_values("bk", key=lambda s: s.map(bk_key))
-    carry_map: dict[str, int] = {}
-    running: dict[int, int] = {}
-    for r in summaries.itertuples(index=False):
-        first_k = int(r.user_id)
-        carry = running.get(first_k, 0)
-        carry_map[r.bk] = carry
-        running[first_k] = carry + int(r.running_cents)
-        last_k = int(r.s_last_k)
-        if last_k != first_k:
-            running[last_k] = int(r.s_last_sum)
-
-    carry_ref = ray.put(carry_map)
-
-    # ONE finalize pass over every block: pending (first-user) rows add
-    # their block's carry-in, final rows pass through — single output
-    # schema, no filter+union fan-out
-    def resolve(df: pd.DataFrame) -> pa.Table:
-        cm = ray.get(carry_ref)
-        df = df[df["kind"] != "s"]
-        pend = df["kind"] == "p"
-        add = df["bk"].map(cm).fillna(0).astype("int64").where(pend, 0)
+    # pending (first-user) rows add their block's carry-in, final rows
+    # pass through
+    def finish(part, carry) -> pa.Table:
+        if part is None:
+            return pa.schema(
+                [(c, pa.int64()) for c in ("user_id", "event_id", "running_cents")]
+            ).empty_table()
+        user_id, event_id, cum, pend = part
         return pa.table(
             {
-                "user_id": pa.array(df["user_id"].astype("int64"), pa.int64()),
-                "event_id": pa.array(df["event_id"].astype("int64"), pa.int64()),
+                "user_id": pa.array(user_id.astype("int64"), pa.int64()),
+                "event_id": pa.array(event_id.astype("int64"), pa.int64()),
                 "running_cents": pa.array(
-                    (df["running_cents"] + add).astype("int64"), pa.int64()
+                    (cum + np.where(pend, carry, 0)).astype("int64"), pa.int64()
                 ),
             }
         )
 
-    return marked.map_batches(resolve, batch_format="pandas")
+    return sorted_run_scan(
+        ds.map_batches(derive, batch_format="pyarrow", batch_size=None),
+        ["user_id", "ts", "event_id"],
+        scan,
+        stitch,
+        finish,
+    )
 
 
 def q17_small_quantity_revenue(sf_dir: str) -> Dataset:
@@ -1576,39 +1482,24 @@ def events_lag_delta(sf_dir: str) -> Dataset:
     timestamps (consecutive differences of equal values are 0 under
     any tie order), so no tie-break column is needed.
 
-    Sorted-run shape, one global sort and no per-group calls:
+    ``sorted_run_scan`` shape, one global sort and no per-group calls:
 
     1. ``sort(user_id, ts)`` — each block is a contiguous slice;
     2. per block, one vectorized diff computes every in-block gap
        (pairs fully inside the block), masked at user changes;
     3. the ONLY gaps a block can't see are the ones that straddle a
-       block boundary.  Each block emits at most two summary rows —
-       (user, min_ts, max_ts) for its first and last user — and the
-       driver stitches consecutive same-user summaries in (user,
-       min_ts) order: gap = next.min_ts - cur.max_ts.  O(#blocks)
-       driver work at any scale;
+       block boundary.  Each block's summary holds at most two
+       (user, min_ts, max_ts) records — its first and last user — and
+       the driver stitches consecutive same-user records in block
+       order: gap = next.min_ts - cur.max_ts.  O(#blocks) driver work
+       at any scale;
     4. one ``groupby(user_id)`` reduce finalizes count/sum/max.
     """
-    import pandas as pd
-
-    from ray.data.aggregate import Count, Max, Sum
-
+    gap_schema = pa.schema([("user_id", pa.int64()), ("gap_us", pa.int64())])
     ds = _read(sf_dir, "events", ["user_id", "ts"])
-    sorted_ds = ds.sort(["user_id", "ts"])
 
-    row_schema = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("min_us", pa.int64()),
-            ("max_us", pa.int64()),
-            ("is_summary", pa.bool_()),
-            ("gap_us", pa.int64()),
-        ]
-    )
-
-    def block_gaps(df: pd.DataFrame) -> pa.Table:
-        if df.empty:
-            return row_schema.empty_table()
+    def block_gaps(t: pa.Table):
+        df = t.to_pandas()
         ts_us = df["ts"].astype("int64")
         same_user = df["user_id"].eq(df["user_id"].shift())
         gaps = ts_us.diff()
@@ -1616,68 +1507,38 @@ def events_lag_delta(sf_dir: str) -> Dataset:
         out_gap = pa.table(
             {
                 "user_id": pa.array(df["user_id"].to_numpy()[keep], pa.int64()),
-                "min_us": pa.array([0] * int(keep.sum()), pa.int64()),
-                "max_us": pa.array([0] * int(keep.sum()), pa.int64()),
-                "is_summary": pa.array([False] * int(keep.sum()), pa.bool_()),
                 "gap_us": pa.array(
                     gaps.to_numpy()[keep].astype("int64"), pa.int64()
                 ),
             }
         )
-        # boundary summaries: the block's first and last user
-        edge_users = {df["user_id"].iloc[0], df["user_id"].iloc[-1]}
-        srows = {"user_id": [], "min_us": [], "max_us": []}
-        for u in sorted(edge_users):
+        # boundary summaries: (user, min_us, max_us) of the block's
+        # first and last user
+        edge = []
+        for u in sorted({df["user_id"].iloc[0], df["user_id"].iloc[-1]}):
             m = df["user_id"].eq(u)
-            srows["user_id"].append(int(u))
-            srows["min_us"].append(int(ts_us[m].min()))
-            srows["max_us"].append(int(ts_us[m].max()))
-        out_sum = pa.table(
-            {
-                "user_id": pa.array(srows["user_id"], pa.int64()),
-                "min_us": pa.array(srows["min_us"], pa.int64()),
-                "max_us": pa.array(srows["max_us"], pa.int64()),
-                "is_summary": pa.array([True] * len(srows["user_id"]), pa.bool_()),
-                "gap_us": pa.array([0] * len(srows["user_id"]), pa.int64()),
-            }
-        )
-        return pa.concat_tables([out_gap, out_sum])
+            edge.append((int(u), int(ts_us[m].min()), int(ts_us[m].max())))
+        return out_gap, edge
 
-    marked = sorted_ds.map_batches(
-        block_gaps, batch_format="pandas", batch_size=None
-    ).materialize()
+    # O(#blocks) boundary stitch: <= 2 summaries per block, walked in
+    # block order; each straddling gap rides to the later block
+    def stitch(edges: list) -> list[list[dict]]:
+        extra: list[list[dict]] = [[] for _ in edges]
+        prev_user = None
+        prev_max = 0
+        for i, edge in enumerate(edges):
+            for user, min_us, max_us in edge:
+                if user == prev_user:
+                    extra[i].append({"user_id": user, "gap_us": min_us - prev_max})
+                prev_user, prev_max = user, max_us
+        return extra
 
-    gaps = marked.filter(expr="is_summary == False").select_columns(
-        ["user_id", "gap_us"]
-    )
+    def finish(gaps, extra) -> pa.Table:
+        if gaps is None:
+            return gap_schema.empty_table()
+        return pa.concat_tables([gaps, pa.Table.from_pylist(extra, schema=gap_schema)])
 
-    # O(#blocks) boundary stitch: <= 2 summary rows per block
-    edge = (
-        marked.filter(expr="is_summary == True")
-        .select_columns(["user_id", "min_us", "max_us"])
-        .to_pandas()
-        .sort_values(["user_id", "min_us", "max_us"], kind="stable")
-    )
-    boundary: dict[str, list[int]] = {"user_id": [], "gap_us": []}
-    prev_user = None
-    prev_max = 0
-    for r in edge.itertuples(index=False):
-        if r.user_id == prev_user:
-            boundary["user_id"].append(int(r.user_id))
-            boundary["gap_us"].append(int(r.min_us) - prev_max)
-        prev_user, prev_max = r.user_id, int(r.max_us)
-    if boundary["user_id"]:
-        gaps = gaps.union(
-            ray.data.from_arrow(
-                pa.table(
-                    {
-                        "user_id": pa.array(boundary["user_id"], pa.int64()),
-                        "gap_us": pa.array(boundary["gap_us"], pa.int64()),
-                    }
-                )
-            )
-        )
-
+    gaps = sorted_run_scan(ds, ["user_id", "ts"], block_gaps, stitch, finish)
     return _hagg_auto(gaps, "user_id", [('', 'count_all', 'n_gaps'), ('gap_us', 'sum', 'sum_gap_us'), ('gap_us', 'max', 'max_gap_us')])
 
 
@@ -1858,14 +1719,10 @@ def orders_price_ntile(sf_dir: str, k: int = 10) -> Dataset:
     buckets are summarized (count / sum / min / max, integer cents).
 
     The global-rank window shape (rank depends on EVERY other row, not
-    just a group): one sort by (price_c, o_orderkey), a vectorized
-    per-block exclusive row count, an O(#blocks) driver carry scan over
-    per-block summaries (same sorted-run + boundary-stitch plan as
-    ``doc_pack_blocks`` / ``events_running_total`` — no per-row driver
-    work), then a batch-local NTILE formula and one bounded
-    ``groupby(bucket)``.  Block order is recovered from each block's
-    first sort key packed as a fixed-width string (lexicographic ==
-    numeric order, no int64 overflow at any scale).
+    just a group): ``sorted_run_scan`` by (price_c, o_orderkey) — per
+    block a row count, an O(#blocks) driver carry scan over the counts
+    (no per-row driver work), then a block-local NTILE formula and one
+    bounded ``groupby(bucket)``.
 
     Output: (bucket, n_orders, sum_price_cents, min_price_cents,
     max_price_cents) — NTILE semantics identical to SQL (first n%k
@@ -1880,81 +1737,23 @@ def orders_price_ntile(sf_dir: str, k: int = 10) -> Dataset:
             }
         )
 
-    sorted_ds = (
-        ds.map_batches(derive, batch_format="pyarrow", batch_size=None)
-        .sort(["price_c", "o_orderkey"])
-        .materialize()
-    )
-
-    def block_scan(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "kind": pa.array([], pa.string()),
-                "price_c": pa.array([], pa.int64()),
-                "local_idx": pa.array([], pa.int64()),
-                "n_rows": pa.array([], pa.int64()),
-                "bk": pa.array([], pa.string()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        n = batch.num_rows
-        # block key: first sort key, fixed-width packed so string order
-        # == (price_c, orderkey) order at any magnitude
-        bk = "%020d:%020d" % (
-            batch.column("price_c")[0].as_py(),
-            batch.column("o_orderkey")[0].as_py(),
-        )
-        rows = pa.table(
-            {
-                "kind": pa.array(["r"] * n),
-                "price_c": batch.column("price_c"),
-                "local_idx": pa.array(np.arange(n, dtype=np.int64)),
-                "n_rows": pa.array(np.zeros(n, dtype=np.int64)),
-                "bk": pa.array([bk] * n),
-            }
-        )
-        summary = pa.table(
-            {
-                "kind": pa.array(["s"]),
-                "price_c": pa.array([0], pa.int64()),
-                "local_idx": pa.array([0], pa.int64()),
-                "n_rows": pa.array([n], pa.int64()),
-                "bk": pa.array([bk]),
-            }
-        )
-        return pa.concat_tables([rows, summary])
-
-    marked = sorted_ds.map_batches(
-        block_scan, batch_format="pyarrow", batch_size=None
-    ).materialize()
+    def scan(batch: pa.Table):
+        return batch.column("price_c"), batch.num_rows
 
     # O(#blocks) driver scan: block start offsets + global row count
-    summaries = marked.filter(expr="kind == 's'").to_pandas()
-    summaries = summaries.sort_values("bk")
-    carry: dict[str, int] = {}
-    acc = 0
-    for r in summaries.itertuples(index=False):
-        carry[r.bk] = acc
-        acc += int(r.n_rows)
-    total = acc
-    carry_ref = ray.put(carry)
+    def stitch(counts: list[int]) -> list[tuple[int, int]]:
+        offs = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        total = int(sum(counts))
+        return [(int(o), total) for o in offs]
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.equal(batch.column("kind"), "r"))
-        if batch.num_rows == 0:
+    def finish(price_c, carry) -> pa.Table:
+        if price_c is None:
             return pa.table(
                 {"bucket": pa.array([], pa.int64()),
                  "price_c": pa.array([], pa.int64())}
             )
-        cm = ray.get(carry_ref)
-        bks = np.asarray(batch.column("bk"))
-        uniq = np.unique(bks)
-        offs = np.array([cm[str(b)] for b in uniq], dtype=np.int64)
-        rank = (
-            np.asarray(batch.column("local_idx"), dtype=np.int64)
-            + offs[np.searchsorted(uniq, bks)]
-        )
+        off, total = carry
+        rank = np.arange(len(price_c), dtype=np.int64) + off
         # SQL NTILE: first (total % k) buckets hold (total // k) + 1
         size, big = divmod(total, k)
         if size == 0:
@@ -1969,12 +1768,19 @@ def orders_price_ntile(sf_dir: str, k: int = 10) -> Dataset:
         return pa.table(
             {
                 "bucket": pa.array(bucket.astype(np.int64)),
-                "price_c": batch.column("price_c"),
+                "price_c": price_c,
             }
         )
 
+    ranked = sorted_run_scan(
+        ds.map_batches(derive, batch_format="pyarrow", batch_size=None),
+        ["price_c", "o_orderkey"],
+        scan,
+        stitch,
+        finish,
+    )
     return (
-        _hagg_auto(marked.map_batches(finalize, batch_format="pyarrow"), "bucket", [('', 'count_all', 'n_orders'), ('price_c', 'sum', 'sum_price_cents'), ('price_c', 'min', 'min_price_cents'), ('price_c', 'max', 'max_price_cents')])
+        _hagg_auto(ranked, "bucket", [('', 'count_all', 'n_orders'), ('price_c', 'sum', 'sum_price_cents'), ('price_c', 'min', 'min_price_cents'), ('price_c', 'max', 'max_price_cents')])
     )
 
 
@@ -1984,17 +1790,16 @@ def orders_rank_in_customer(sf_dir: str) -> Dataset:
     ORDER BY price_cents DESC)``) — the partitioned ranking window
     shape, complementing the GLOBAL ranking of ``orders_price_ntile``.
 
-    Plan (one sort, no per-group calls, no window scan): sort by
-    (custkey asc, price desc); each block computes its rows' dense
-    ranks with one vectorized cumsum over new-value flags reset at
-    customer changes.  The only rows a block can mis-rank are its
+    Plan (``sorted_run_scan``, no per-group calls, no window scan):
+    sort by (custkey asc, price desc); each block computes its rows'
+    dense ranks with one vectorized cumsum over new-value flags reset
+    at customer changes.  The only rows a block can mis-rank are its
     FIRST customer run when that customer straddles from an earlier
-    block, so each block emits ONE summary row (first/last customer,
-    boundary prices, distinct-price count of its last run) and an
-    O(#blocks) driver carry scan derives the additive rank offset per
-    block — same sorted-run + boundary-stitch machinery as
-    ``events_lag_delta`` / ``orders_price_ntile``.  Ties (equal cents
-    within a customer) share a rank with no gap, exactly as SQL.
+    block, so each block's summary holds its first/last customer, the
+    boundary prices and the distinct-price count of its last run, and
+    an O(#blocks) driver carry scan derives the additive rank offset
+    per block.  Ties (equal cents within a customer) share a rank with
+    no gap, exactly as SQL.
 
     Output: (o_custkey, o_orderkey, price_rank) for every order."""
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
@@ -2008,40 +1813,10 @@ def orders_rank_in_customer(sf_dir: str) -> Dataset:
             }
         )
 
-    # okey is a UNIQUE tie-break so every block's first-row key (the
-    # block key below) is distinct; it cannot affect dense ranks
-    sorted_ds = (
-        ds.map_batches(derive, batch_format="pyarrow", batch_size=None)
-        .sort(["cust", "price_c", "okey"], descending=[False, True, False])
-        .materialize()
-    )
-
-    _empty = pa.schema(
-        [
-            ("kind", pa.string()),
-            ("cust", pa.int64()),
-            ("okey", pa.int64()),
-            ("price_c", pa.int64()),
-            ("local", pa.int64()),
-            ("first_run", pa.bool_()),
-            ("aux", pa.int64()),
-            ("bk", pa.string()),
-        ]
-    )
-
-    def block_scan(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty.empty_table()
+    def scan(batch: pa.Table):
         n = batch.num_rows
         cust = np.asarray(batch.column("cust"), dtype=np.int64)
         price = np.asarray(batch.column("price_c"), dtype=np.int64)
-        # block key = first sort key, fixed-width packed (price
-        # inverted: string order == (cust asc, price desc) order)
-        okey = np.asarray(batch.column("okey"), dtype=np.int64)
-        assert price[0] < 10**20 and cust[0] >= 0 and okey[0] >= 0
-        bk = "%020d:%020d:%020d" % (
-            cust[0], 10**20 - 1 - price[0], okey[0]
-        )
         new_grp = np.ones(n, dtype=bool)
         new_grp[1:] = cust[1:] != cust[:-1]
         new_val = new_grp.copy()
@@ -2052,65 +1827,35 @@ def orders_rank_in_customer(sf_dir: str) -> Dataset:
         )
         local = c - c[gs] + 1
         first_run = cust == cust[0]  # sorted => the first run is a prefix
-        rows = pa.table(
-            {
-                "kind": pa.array(["r"] * n),
-                "cust": batch.column("cust"),
-                "okey": batch.column("okey"),
-                "price_c": batch.column("price_c"),
-                "local": pa.array(local.astype(np.int64)),
-                "first_run": pa.array(first_run),
-                "aux": pa.array(np.zeros(n, dtype=np.int64)),
-                "bk": pa.array([bk] * n),
-            }
+        # (first_cust, first_price, last_cust, last_price, distinct-price
+        # count of the last customer run)
+        summary = (
+            int(cust[0]), int(price[0]), int(cust[-1]), int(price[-1]),
+            int(c[-1] - c[gs[-1]] + 1),
         )
-        # summary: (first_cust, first_price) in (cust, price_c),
-        # (last_cust, last_price) in (okey, local), distinct-price
-        # count of the last customer run in aux
-        n_dist_last = int(c[-1] - c[gs[-1]] + 1)
-        summary = pa.table(
-            {
-                "kind": pa.array(["s"]),
-                "cust": pa.array([int(cust[0])], pa.int64()),
-                "okey": pa.array([int(cust[-1])], pa.int64()),
-                "price_c": pa.array([int(price[0])], pa.int64()),
-                "local": pa.array([int(price[-1])], pa.int64()),
-                "first_run": pa.array([False]),
-                "aux": pa.array([n_dist_last], pa.int64()),
-                "bk": pa.array([bk]),
-            }
-        )
-        return pa.concat_tables([rows, summary])
-
-    marked = sorted_ds.map_batches(
-        block_scan, batch_format="pyarrow", batch_size=None
-    ).materialize()
+        return (batch, local, first_run), summary
 
     # O(#blocks) carry scan: additive offset for each block's first run
-    summaries = marked.filter(expr="kind == 's'").to_pandas()
-    summaries = summaries.sort_values("bk")
-    off: dict[str, int] = {}
-    carry_cust: int | None = None
-    carry_price = 0
-    carry_n = 0
-    for r in summaries.itertuples(index=False):
-        f_cust, f_price = int(r.cust), int(r.price_c)
-        l_cust, l_price = int(r.okey), int(r.local)
-        if f_cust == carry_cust:
-            o = carry_n - (1 if f_price == carry_price else 0)
-        else:
-            o = 0
-        off[r.bk] = o
-        if f_cust == l_cust and f_cust == carry_cust:
-            carry_n = o + int(r.aux)  # block continues one customer
-        else:
-            carry_n = int(r.aux)
-        carry_cust, carry_price = l_cust, l_price
-    off_ref = ray.put(off)
+    def stitch(summaries: list) -> list[int]:
+        offs = []
+        carry_cust: int | None = None
+        carry_price = 0
+        carry_n = 0
+        for f_cust, f_price, l_cust, l_price, n_dist_last in summaries:
+            if f_cust == carry_cust:
+                o = carry_n - (1 if f_price == carry_price else 0)
+            else:
+                o = 0
+            offs.append(o)
+            if f_cust == l_cust and f_cust == carry_cust:
+                carry_n = o + n_dist_last  # block continues one customer
+            else:
+                carry_n = n_dist_last
+            carry_cust, carry_price = l_cust, l_price
+        return offs
 
-    def finalize(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.equal(batch.column("kind"), "r"))
-        if batch.num_rows == 0:
+    def finish(part, off) -> pa.Table:
+        if part is None:
             return pa.table(
                 {
                     "o_custkey": pa.array([], pa.int64()),
@@ -2118,16 +1863,8 @@ def orders_rank_in_customer(sf_dir: str) -> Dataset:
                     "price_rank": pa.array([], pa.int64()),
                 }
             )
-        cm = ray.get(off_ref)
-        bks = np.asarray(batch.column("bk"))
-        uniq = np.unique(bks)
-        offs = np.array([cm[str(b)] for b in uniq], dtype=np.int64)
-        add = np.where(
-            np.asarray(batch.column("first_run")),
-            offs[np.searchsorted(uniq, bks)],
-            0,
-        )
-        rank = np.asarray(batch.column("local"), dtype=np.int64) + add
+        batch, local, first_run = part
+        rank = local + np.where(first_run, off, 0)
         return pa.table(
             {
                 "o_custkey": batch.column("cust"),
@@ -2136,7 +1873,14 @@ def orders_rank_in_customer(sf_dir: str) -> Dataset:
             }
         )
 
-    return marked.map_batches(finalize, batch_format="pyarrow")
+    return sorted_run_scan(
+        ds.map_batches(derive, batch_format="pyarrow", batch_size=None),
+        ["cust", "price_c", "okey"],
+        scan,
+        stitch,
+        finish,
+        descending=[False, True, False],
+    )
 
 
 def monthly_orders_vs_events(sf_dir: str) -> Dataset:
@@ -2279,11 +2023,12 @@ def lineitem_price_percentiles_exact(
     output carries (lo_cents, hi_cents, frac_ppm) — the caller (or
     SQL) interpolates; nothing floats, so the oracle hashes exactly.
 
-    Scale shape: ONE global sort, a per-block summary pass (one
-    (block_key, n_rows) row per block), an O(#blocks) driver offset
-    scan that maps each of the <= 2|q| target global indexes to a
-    (block, local index) pair, and a second pass over the SAME
-    materialized sorted blocks that emits only the targeted rows.
+    Scale shape: ``sorted_run_scan`` — ONE global sort, a per-block
+    row count as the summary, an O(#blocks) driver offset scan that
+    maps each of the <= 2|q| target global indexes to a (block, local
+    index) pair, and a finish pass over the SAME sorted blocks that
+    emits only the targeted rows.  The sort keys (price, orderkey,
+    linenumber) are unique, so the targeted rows are content-determined.
     Row selection is O(|q|) rows to the driver at any data size —
     never a percentile-bucket scan."""
     ds = _read(
@@ -2299,81 +2044,32 @@ def lineitem_price_percentiles_exact(
             }
         )
 
-    # (okey, ln) is a UNIQUE tie-break: block keys stay distinct and
-    # block order is content-determined, same trick as the rank windows
-    sorted_ds = (
-        ds.map_batches(derive, batch_format="pyarrow", batch_size=None)
-        .sort(["price_c", "okey", "ln"])
-        .materialize()
-    )
-
-    def _bk(batch: pa.Table) -> str:
-        p = batch.column("price_c")[0].as_py()
-        o = batch.column("okey")[0].as_py()
-        ln = batch.column("ln")[0].as_py()
-        assert 0 <= p < 10**20 and 0 <= o < 10**20 and 0 <= ln < 10**10
-        return "%020d:%020d:%010d" % (p, o, ln)
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"bk": pa.array([], pa.string()),
-                 "n_rows": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {"bk": pa.array([_bk(batch)]),
-             "n_rows": pa.array([batch.num_rows], pa.int64())}
-        )
-
-    summaries = (
-        sorted_ds.map_batches(summarize, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-        .sort_values("bk")
-    )
-    total = int(summaries["n_rows"].sum())
-    if total == 0:
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "q_ppm": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "lo_cents": pa.array([], pa.int64()),
-                    "hi_cents": pa.array([], pa.int64()),
-                    "frac_ppm": pa.array([], pa.int64()),
-                }
-            )
-        )
+    def scan(batch: pa.Table):
+        return batch.column("price_c"), batch.num_rows
 
     # target global indexes -> (block, local) via the offset scan
     targets: dict[int, tuple[int, int]] = {}  # q_ppm -> (lo_gidx, hi_gidx)
-    need: set[int] = set()
-    for q in quantiles_ppm:
-        pos = q * (total - 1)
-        lo_g, rem = divmod(pos, 1_000_000)
-        hi_g = lo_g + (1 if rem else 0)
-        targets[q] = (lo_g, hi_g)
-        need.update((lo_g, hi_g))
-    wanted: dict[str, list[tuple[int, int]]] = {}
-    acc = 0
-    for r in summaries.itertuples(index=False):
-        nb = int(r.n_rows)
-        for g in need:
-            if acc <= g < acc + nb:
-                wanted.setdefault(r.bk, []).append((g, g - acc))
-        acc += nb
-    wanted_ref = ray.put(wanted)
+    totals: list[int] = []
 
-    def pick(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"gidx": pa.array([], pa.int64()),
-             "cents": pa.array([], pa.int64())}
-        )
-        if batch.num_rows == 0:
-            return empty
-        w = ray.get(wanted_ref).get(_bk(batch))
-        if not w:
-            return empty
-        price = batch.column("price_c")
+    def stitch(counts: list[int]) -> list[list[tuple[int, int]]]:
+        total = int(sum(counts))
+        totals.append(total)
+        need: set[int] = set()
+        for q in quantiles_ppm:
+            pos = q * (total - 1)
+            lo_g, rem = divmod(pos, 1_000_000)
+            hi_g = lo_g + (1 if rem else 0)
+            targets[q] = (lo_g, hi_g)
+            need.update((lo_g, hi_g))
+        wanted: list[list[tuple[int, int]]] = []
+        acc = 0
+        for nb in counts:
+            wanted.append([(g, g - acc) for g in need if acc <= g < acc + nb])
+            acc += nb
+        return wanted
+
+    def pick(price, w) -> pa.Table:
+        w = w or []
         return pa.table(
             {
                 "gidx": pa.array([g for g, _loc in w], pa.int64()),
@@ -2383,16 +2079,19 @@ def lineitem_price_percentiles_exact(
             }
         )
 
-    got = {
-        int(r["gidx"]): int(r["cents"])
-        for r in sorted_ds.map_batches(
-            pick, batch_format="pyarrow", batch_size=None
-        ).take_all()
-    }
+    picked = sorted_run_scan(
+        ds.map_batches(derive, batch_format="pyarrow", batch_size=None),
+        ["price_c", "okey", "ln"],
+        scan,
+        stitch,
+        pick,
+    ).take_all()
+    got = {int(r["gidx"]): int(r["cents"]) for r in picked}
+    total = totals[0] if totals else 0
     rows = {
         "q_ppm": [], "n": [], "lo_cents": [], "hi_cents": [], "frac_ppm": []
     }
-    for q in quantiles_ppm:
+    for q in quantiles_ppm if total else ():  # no rows, no percentiles
         lo_g, hi_g = targets[q]
         rows["q_ppm"].append(q)
         rows["n"].append(total)
@@ -2413,12 +2112,12 @@ def events_peak_moving_sum(sf_dir: str, w: int = 3) -> Dataset:
     global rank (NTILE), per-group rank (DENSE_RANK), and now the
     bounded-frame rolling aggregate.
 
-    Sorted-run plan: one (user, ts, event_id) sort; each block
+    ``sorted_run_scan`` plan: one (user, ts, event_id) sort; each block
     computes every in-block moving sum with one cumsum + clamped
     window-start indexes (no per-group loop).  Only a block's FIRST
     user run can need rows from earlier blocks — at most w-1 of them
-    — so each block emits its LAST run's tail (<= w-1 rows) and an
-    O(#blocks * w) driver scan hands each block its carry values; a
+    — so each block's summary is its LAST run's tail (<= w-1 rows) and
+    an O(#blocks * w) driver scan hands each block its carry values; a
     <= w-1-row fix-up inside the block applies them.  Exact integer
     cents.
 
@@ -2437,75 +2136,7 @@ def events_peak_moving_sum(sf_dir: str, w: int = 3) -> Dataset:
             }
         )
 
-    sorted_ds = (
-        ds.map_batches(derive, batch_format="pyarrow", batch_size=None)
-        .sort(["u", "t", "e"])
-        .materialize()
-    )
-
-    def _bk(batch: pa.Table) -> str:
-        u = batch.column("u")[0].as_py()
-        t = batch.column("t")[0].as_py()
-        e = batch.column("e")[0].as_py()
-        assert 0 <= u < 10**20 and 0 <= e < 10**20
-        # ts microseconds are signed — offset into non-negative range
-        return "%020d:%020d:%020d" % (u, t + 2**62, e)
-
-    def summarize(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "bk": pa.array([], pa.string()),
-                "first_u": pa.array([], pa.int64()),
-                "last_u": pa.array([], pa.int64()),
-                "tail_v": pa.array([], pa.list_(pa.int64())),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
-        u = np.asarray(batch.column("u"), dtype=np.int64)
-        v = np.asarray(batch.column("v"), dtype=np.int64)
-        # tail of the LAST user run: up to w-1 newest values, oldest first
-        changes = np.flatnonzero(u != u[-1])
-        run_start = int(changes[-1]) + 1 if len(changes) else 0
-        tail = v[max(run_start, len(u) - (w - 1)) :] if w > 1 else v[:0]
-        return pa.table(
-            {
-                "bk": pa.array([_bk(batch)]),
-                "first_u": pa.array([int(u[0])], pa.int64()),
-                "last_u": pa.array([int(u[-1])], pa.int64()),
-                "tail_v": pa.array([[int(x) for x in tail]], pa.list_(pa.int64())),
-            }
-        )
-
-    summaries = (
-        sorted_ds.map_batches(summarize, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-        .sort_values("bk")
-    )
-    # O(#blocks * w) carry scan: the <= w-1 values preceding each
-    # block's first row WITHIN that row's user partition
-    carries: dict[str, list[int]] = {}
-    buf_user: int | None = None
-    buf: list[int] = []
-    for r in summaries.itertuples(index=False):
-        if int(r.first_u) == buf_user:
-            carries[r.bk] = list(buf)
-        else:
-            carries[r.bk] = []
-        tail = list(r.tail_v)
-        if int(r.first_u) == int(r.last_u) and int(r.first_u) == buf_user:
-            buf = (buf + tail)[-(w - 1) :] if w > 1 else []
-        else:
-            buf = tail
-        buf_user = int(r.last_u)
-    carry_ref = ray.put(carries)
-
-    def moving(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"user_id": pa.array([], pa.int64()),
-                 "ms": pa.array([], pa.int64())}
-            )
+    def scan(batch: pa.Table):
         u = np.asarray(batch.column("u"), dtype=np.int64)
         v = np.asarray(batch.column("v"), dtype=np.int64)
         n = len(u)
@@ -2518,24 +2149,57 @@ def events_peak_moving_sum(sf_dir: str, w: int = 3) -> Dataset:
         idx = np.arange(n, dtype=np.int64)
         start = np.maximum(idx - (w - 1), gs)
         ms = cs[idx + 1] - cs[start]
+        # tail of the LAST user run: up to w-1 newest values, oldest first
+        changes = np.flatnonzero(u != u[-1])
+        run_start = int(changes[-1]) + 1 if len(changes) else 0
+        tail = v[max(run_start, len(u) - (w - 1)) :] if w > 1 else v[:0]
+        summary = (int(u[0]), int(u[-1]), [int(x) for x in tail])
+        return (batch.column("u"), ms, int(np.sum(u == u[0]))), summary
+
+    # O(#blocks * w) carry scan: the <= w-1 values preceding each
+    # block's first row WITHIN that row's user partition
+    def stitch(summaries: list) -> list[list[int]]:
+        carries = []
+        buf_user: int | None = None
+        buf: list[int] = []
+        for first_u, last_u, tail in summaries:
+            carries.append(list(buf) if first_u == buf_user else [])
+            if first_u == last_u and first_u == buf_user:
+                buf = (buf + tail)[-(w - 1) :] if w > 1 else []
+            else:
+                buf = tail
+            buf_user = last_u
+        return carries
+
+    def moving(part, carry) -> pa.Table:
+        if part is None:
+            return pa.table(
+                {"user_id": pa.array([], pa.int64()),
+                 "ms": pa.array([], pa.int64())}
+            )
+        u, ms, run_len = part
         # fix-up: the first run's first <= w-1 rows may extend into the
         # carry from earlier blocks (constant work per block)
-        carry = ray.get(carry_ref).get(_bk(batch), [])
         if carry:
-            run_len = int(np.sum(u == u[0]))
+            ms = ms.copy()  # the part arrives read-only from the object store
             for j in range(min(w - 1, run_len)):
                 need = w - 1 - j  # values still missing before row j
                 ms[j] += sum(carry[len(carry) - min(need, len(carry)) :])
         return pa.table(
             {
-                "user_id": batch.column("u"),
+                "user_id": u,
                 "ms": pa.array(ms.astype(np.int64)),
             }
         )
 
-    return (
-        _hagg_auto(sorted_ds.map_batches(moving, batch_format="pyarrow", batch_size=None), "user_id", [('ms', 'max', 'peak_sum_cents')])
+    moving_sums = sorted_run_scan(
+        ds.map_batches(derive, batch_format="pyarrow", batch_size=None),
+        ["u", "t", "e"],
+        scan,
+        stitch,
+        moving,
     )
+    return _hagg_auto(moving_sums, "user_id", [('ms', 'max', 'peak_sum_cents')])
 
 
 def customer_first_last_order(sf_dir: str) -> Dataset:
@@ -2679,8 +2343,8 @@ def events_type_runs(sf_dir: str) -> Dataset:
     exact int64 microseconds — every column integral or categorical,
     so the result value-hashes against the LAG/SUM-OVER SQL oracle.
 
-    Plan (sorted-run + boundary stitch, same family as sessionize):
-    ONE global sort on (user_id, ts, event_id); per block a vectorized
+    Plan (``sorted_run_scan``, same family as sessionize): ONE
+    global sort on (user_id, ts, event_id); per block a vectorized
     pandas change-point pass finalizes every run of users strictly
     interior to the block; only block-EDGE users' RUNS (<= 2 users per
     block) reach the driver, which merges same-type runs adjacent
@@ -2690,9 +2354,7 @@ def events_type_runs(sf_dir: str) -> Dataset:
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    sorted_ds = ds.sort(["user_id", "ts", "event_id"])
-
-    run_schema = pa.schema(
+    out_schema = pa.schema(
         [
             ("user_id", pa.int64()),
             ("event_type", pa.string()),
@@ -2700,14 +2362,11 @@ def events_type_runs(sf_dir: str) -> Dataset:
             ("n_events", pa.int64()),
             ("start_us", pa.int64()),
             ("end_us", pa.int64()),
-            ("first_eid", pa.int64()),
-            ("final", pa.bool_()),
         ]
     )
 
-    def block_runs(df: pd.DataFrame) -> pa.Table:
-        if df.empty:
-            return run_schema.empty_table()
+    def block_runs(t: pa.Table):
+        df = t.to_pandas()
         new_user = df["user_id"].ne(df["user_id"].shift())
         new_type = df["event_type"].ne(df["event_type"].shift())
         rid = (new_user | new_type).cumsum()
@@ -2719,7 +2378,6 @@ def events_type_runs(sf_dir: str) -> Dataset:
                     "event_type": df["event_type"],
                     "rid": rid,
                     "ts_us": ts_us,
-                    "eid": df["event_id"],
                 }
             )
             .groupby("rid", sort=True)
@@ -2729,7 +2387,6 @@ def events_type_runs(sf_dir: str) -> Dataset:
                 start_us=("ts_us", "first"),
                 end_us=("ts_us", "last"),
                 n_events=("ts_us", "size"),
-                first_eid=("eid", "first"),
             )
             .reset_index(drop=True)
         )
@@ -2744,92 +2401,57 @@ def events_type_runs(sf_dir: str) -> Dataset:
                 "n_events": interior["n_events"],
                 "start_us": interior["start_us"],
                 "end_us": interior["end_us"],
-                "first_eid": interior["first_eid"],
-                "final": True,
             }
         )
-        edge = runs[is_edge]
-        out_edge = pd.DataFrame(
-            {
-                "user_id": edge["user_id"],
-                "event_type": edge["event_type"],
-                "run_id": -1,
-                "n_events": edge["n_events"],
-                "start_us": edge["start_us"],
-                "end_us": edge["end_us"],
-                "first_eid": edge["first_eid"],
-                "final": False,
-            }
-        )
-        out = pd.concat([out_int, out_edge], ignore_index=True)
-        return pa.Table.from_pandas(out, schema=run_schema, preserve_index=False)
+        part = pa.Table.from_pandas(out_int, schema=out_schema, preserve_index=False)
+        return part, runs[is_edge][
+            ["user_id", "event_type", "n_events", "start_us", "end_us"]
+        ]
 
-    out_cols = ["user_id", "event_type", "run_id", "n_events", "start_us", "end_us"]
-    marked = sorted_ds.map_batches(
-        block_runs, batch_format="pandas", batch_size=None
-    ).materialize()
-
-    # fused filter+project (one UDF) so a block with zero final rows
-    # still emits the 6-column OUTPUT schema — a plain filter +
-    # select_columns leaves empty blocks with the stale 8-column
-    # schema and the union below warns on every merge
-    def finalize(batch: pa.Table) -> pa.Table:
-        return batch.filter(batch.column("final")).select(out_cols)
-
-    finals = marked.map_batches(finalize, batch_format="pyarrow")
-
-    edge_df = (
-        marked.filter(expr="final == False")
-        .select_columns(
-            ["user_id", "event_type", "n_events", "start_us", "end_us", "first_eid"]
-        )
-        .to_pandas()
-    )
-    if edge_df.empty:
-        return finals
-
-    # blocks are globally (user, ts, event_id)-sorted, so sorting the
-    # edge runs by the run's FIRST event key restores event order;
+    # the edge runs of all blocks, in block order, are in event order;
     # in-block maximality guarantees in-block-adjacent runs differ in
-    # type, so "merge sorted-adjacent runs of equal type" merges
-    # exactly the runs split by a block boundary
-    edge_df = edge_df.sort_values(
-        ["user_id", "start_us", "first_eid"], kind="stable"
-    )
-    rows: list[tuple[int, str, int, int, int, int]] = []
-    cur = None  # [user_id, event_type, n, start_us, end_us]
-    rid = 0
+    # type, so "merge adjacent runs of equal type" merges exactly the
+    # runs split by a block boundary.  Each edge user's runs ride to
+    # the block of its first run.
+    def stitch(edges: list) -> list[pa.Table]:
+        for i, e in enumerate(edges):
+            e["blk"] = i
+        edge_df = pd.concat(edges, ignore_index=True)
+        rows: list[list[tuple]] = [[] for _ in edges]
+        cur = None  # [user_id, event_type, n, start_us, end_us]
+        home = 0
+        rid = 0
 
-    def flush():
-        if cur is not None:
-            rows.append((int(cur[0]), cur[1], rid, int(cur[2]), int(cur[3]), int(cur[4])))
+        def flush():
+            if cur is not None:
+                rows[home].append((int(cur[0]), cur[1], rid, int(cur[2]), int(cur[3]), int(cur[4])))
 
-    for r in edge_df.itertuples(index=False):
-        if cur is None or r.user_id != cur[0]:
-            flush()
-            cur, rid = [r.user_id, r.event_type, r.n_events, r.start_us, r.end_us], 0
-        elif r.event_type != cur[1]:
-            flush()
-            rid += 1
-            cur = [r.user_id, r.event_type, r.n_events, r.start_us, r.end_us]
-        else:  # same type across a block boundary: one run
-            cur[2] += r.n_events
-            cur[4] = max(cur[4], r.end_us)
-    flush()
+        for r in edge_df.itertuples(index=False):
+            if cur is None or r.user_id != cur[0]:
+                flush()
+                cur, rid = [r.user_id, r.event_type, r.n_events, r.start_us, r.end_us], 0
+                home = r.blk
+            elif r.event_type != cur[1]:
+                flush()
+                rid += 1
+                cur = [r.user_id, r.event_type, r.n_events, r.start_us, r.end_us]
+            else:  # same type across a block boundary: one run
+                cur[2] += r.n_events
+                cur[4] = max(cur[4], r.end_us)
+        flush()
+        return [
+            pa.Table.from_pylist(
+                [dict(zip(out_schema.names, r)) for r in rs], schema=out_schema
+            )
+            for rs in rows
+        ]
 
-    stitched = ray.data.from_arrow(
-        pa.table(
-            {
-                "user_id": pa.array([t[0] for t in rows], pa.int64()),
-                "event_type": pa.array([t[1] for t in rows], pa.string()),
-                "run_id": pa.array([t[2] for t in rows], pa.int64()),
-                "n_events": pa.array([t[3] for t in rows], pa.int64()),
-                "start_us": pa.array([t[4] for t in rows], pa.int64()),
-                "end_us": pa.array([t[5] for t in rows], pa.int64()),
-            }
-        )
-    )
-    return finals.union(stitched)
+    def finish(part, stitched) -> pa.Table:
+        if part is None:
+            return out_schema.empty_table()
+        return pa.concat_tables([part, stitched])
+
+    return sorted_run_scan(ds, ["user_id", "ts", "event_id"], block_runs, stitch, finish)
 
 
 _MAD_HIST_LIMIT = 5_000_000
@@ -3140,17 +2762,17 @@ def events_markov_transitions(sf_dir: str) -> "Dataset | pa.Table":
     normalized probability in exact integer ppm — the sequence-mining
     readout behind next-action prediction and bot detection.
 
-    Plan (sorted-run + boundary stitch, the sessionize/type-runs
-    family): ONE global sort on (user_id, ts, event_id); per block a
-    vectorized pandas shift pass counts every within-block transition
-    and emits the block's FIRST and LAST (user, type, ts, eid) edge
-    records; the driver orders the O(#blocks) edge records by the
-    global sort key and adds the one straddling transition per block
-    boundary where the user continues.  The transition matrix itself
-    is |types|^2 rows — small by definition — so the final ppm
-    normalization runs in one block.  p_ppm uses the half-away-from-
-    zero integer recipe ``(2_000_000 n + s) // (2 s)`` mirrored
-    verbatim by the SQL oracle, so the result value-hashes exactly.
+    Plan (``sorted_run_scan``, the sessionize/type-runs family): ONE
+    global sort on (user_id, ts, event_id); per block a vectorized
+    pandas shift pass counts every within-block transition and keeps
+    the block's FIRST and LAST (user, type) as its summary; the driver
+    walks the O(#blocks) summaries in block order and adds the one
+    straddling transition per block boundary where the user continues.
+    The transition matrix itself is |types|^2 rows — small by
+    definition — so the final ppm normalization runs in one block.
+    p_ppm uses the half-away-from-zero integer recipe
+    ``(2_000_000 n + s) // (2 s)`` mirrored verbatim by the SQL oracle,
+    so the result value-hashes exactly.
     """
     import pandas as pd
 
@@ -3159,9 +2781,8 @@ def events_markov_transitions(sf_dir: str) -> "Dataset | pa.Table":
         return _MARKOV_EMPTY.empty_table()
 
     def to_us(batch: pa.Table) -> pa.Table:
-        # normalize to us BEFORE the sort: the stitch re-orders block
-        # edge records by integer ts_us, so the global sort must use
-        # the SAME precision or a ns-resolution source could order
+        # normalize to us BEFORE the sort: the SQL oracle orders by the
+        # same us precision, so a ns-resolution source cannot order
         # sub-us ties differently on the two sides
         return pa.table(
             {
@@ -3172,25 +2793,12 @@ def events_markov_transitions(sf_dir: str) -> "Dataset | pa.Table":
             }
         )
 
-    sorted_ds = ds.map_batches(to_us, batch_format="pyarrow").sort(
-        ["user_id", "ts_us", "event_id"]
+    count_schema = pa.schema(
+        [("prev_type", pa.string()), ("next_type", pa.string()), ("n", pa.int64())]
     )
 
-    part_schema = pa.schema(
-        [
-            ("kind", pa.string()),  # "c" count row | "b" block-edge row
-            ("prev_type", pa.string()),
-            ("next_type", pa.string()),
-            ("n", pa.int64()),
-            ("user_id", pa.int64()),
-            ("ts_us", pa.int64()),
-            ("eid", pa.int64()),
-        ]
-    )
-
-    def block_pairs(df: pd.DataFrame) -> pa.Table:
-        if df.empty:
-            return part_schema.empty_table()
+    def scan(t: pa.Table):
+        df = t.to_pandas()
         same = df["user_id"].eq(df["user_id"].shift())
         prev = df["event_type"].shift()
         pairs = (
@@ -3202,54 +2810,38 @@ def events_markov_transitions(sf_dir: str) -> "Dataset | pa.Table":
             .rename("n")
             .reset_index()
         )
-        edge = pd.DataFrame(
-            {
-                "kind": "b",
-                "prev_type": "",
-                "next_type": df["event_type"].iloc[[0, -1]].to_numpy(),
-                "n": [0, 1],  # 0 = block head, 1 = block tail
-                "user_id": df["user_id"].iloc[[0, -1]].to_numpy(),
-                "ts_us": df["ts_us"].iloc[[0, -1]].to_numpy(),
-                "eid": df["event_id"].iloc[[0, -1]].to_numpy(),
-            }
+        # the block's head and tail (user, type)
+        edge = tuple(
+            (int(df["user_id"].iloc[i]), str(df["event_type"].iloc[i]))
+            for i in (0, -1)
         )
-        pairs.insert(0, "kind", "c")
-        pairs["user_id"] = 0
-        pairs["ts_us"] = 0
-        pairs["eid"] = 0
-        out = pd.concat([pairs, edge], ignore_index=True)
-        return pa.Table.from_pandas(out, schema=part_schema, preserve_index=False)
+        return pa.Table.from_pandas(pairs, schema=count_schema, preserve_index=False), edge
 
-    parts = sorted_ds.map_batches(
-        block_pairs, batch_format="pandas", batch_size=None, zero_copy_batch=True
-    ).materialize()
+    # driver stitch: a block tail followed by the NEXT block's head of
+    # the same user is the one straddling transition at that boundary;
+    # it rides to the later block
+    def stitch(edges: list) -> list[list[tuple[str, str]]]:
+        extra: list[list[tuple[str, str]]] = [[]]
+        for (_, (u_a, t_a)), ((u_b, t_b), _) in zip(edges, edges[1:]):
+            extra.append([(t_a, t_b)] if u_a == u_b else [])
+        return extra
 
-    # driver stitch: O(#blocks) edge records; blocks partition the
-    # global sort order, so ordering by the sort key orders the blocks
-    edges = parts.filter(expr="kind == 'b'").to_pandas()
-    edges = edges.sort_values(["user_id", "ts_us", "eid", "n"]).reset_index(drop=True)
-    extra: dict[tuple[str, str], int] = {}
-    for i in range(len(edges) - 1):
-        a, b = edges.iloc[i], edges.iloc[i + 1]
-        # a block tail followed by the NEXT block's head of the same
-        # user is the one straddling transition at that boundary
-        if int(a["n"]) == 1 and int(b["n"]) == 0 and a["user_id"] == b["user_id"]:
-            k = (str(a["next_type"]), str(b["next_type"]))
-            extra[k] = extra.get(k, 0) + 1
+    def finish(pairs, extra) -> pa.Table:
+        if pairs is None:
+            return count_schema.empty_table()
+        crossing = pa.Table.from_pylist(
+            [{"prev_type": p, "next_type": q, "n": 1} for p, q in extra],
+            schema=count_schema,
+        )
+        return pa.concat_tables([pairs, crossing])
 
-    counts = parts.filter(expr="kind == 'c'").select_columns(
-        ["prev_type", "next_type", "n"]
+    counts = sorted_run_scan(
+        ds.map_batches(to_us, batch_format="pyarrow"),
+        ["user_id", "ts_us", "event_id"],
+        scan,
+        stitch,
+        finish,
     )
-    if extra:
-        extra_tab = pa.table(
-            {
-                "prev_type": pa.array([k[0] for k in extra], pa.string()),
-                "next_type": pa.array([k[1] for k in extra], pa.string()),
-                "n": pa.array(list(extra.values()), pa.int64()),
-            }
-        )
-        counts = counts.union(ray.data.from_arrow(extra_tab))
-
     merged = (
         _hagg_auto(counts, ["prev_type", "next_type"], [('n', 'sum', 'n_transitions')])
     )
@@ -3626,14 +3218,13 @@ def events_top_paths(sf_dir: str, k: int = 25) -> "Dataset | pa.Table":
     event_id) — the order-2 extension of the Markov matrix, the
     sequence-mining readout behind funnel discovery.
 
-    Plan: the markov sorted-run shape extended for a trio's 3-block
-    worst case.  Per block a vectorized double-shift pass counts every
-    trigram fully INSIDE the block; blocks emit their first 2 and last
-    2 rows (ALL rows when the block has <= 4, so tiny blocks stay
-    seamless), each tagged with the block's packed first-row key (so
-    block membership is explicit) and an interior-gap flag.  The
-    O(#blocks) driver walk orders blocks by that key, rebuilds the
-    gap-marked edge sequence, and counts exactly the trios that are
+    Plan: the markov ``sorted_run_scan`` shape extended for a trio's
+    3-block worst case.  Per block a vectorized double-shift pass
+    counts every trigram fully INSIDE the block; each block's summary
+    is its first 2 and last 2 (user, type) rows (ALL rows when the
+    block has <= 4, so tiny blocks stay seamless) and an interior-gap
+    flag.  The O(#blocks) driver walk rebuilds the gap-marked edge
+    sequence in block order and counts exactly the trios that are
     pairwise-ADJACENT in global order (consecutive emitted positions
     with no gap between them, or a block tail meeting the next head),
     same-user, and NOT fully inside one block (those were counted
@@ -3655,30 +3246,15 @@ def events_top_paths(sf_dir: str, k: int = 25) -> "Dataset | pa.Table":
             }
         )
 
-    sorted_ds = ds.map_batches(to_us, batch_format="pyarrow").sort(
-        ["user_id", "ts_us", "event_id"]
+    count_schema = pa.schema(
+        [("t0", pa.string()), ("t1", pa.string()), ("t2", pa.string()), ("n", pa.int64())]
     )
 
-    part_schema = pa.schema(
-        [
-            ("kind", pa.string()),  # "c" count | "b" edge row
-            ("t0", pa.string()),
-            ("t1", pa.string()),
-            ("t2", pa.string()),
-            ("n", pa.int64()),
-            ("user_id", pa.int64()),
-            ("bk", pa.string()),  # packed block head key
-            ("pos", pa.int64()),  # emitted position within the block
-            ("gap", pa.bool_()),  # interior rows exist between pos 1/2
-        ]
-    )
-
-    def block_paths(df: pd.DataFrame) -> pa.Table:
-        if df.empty:
-            return part_schema.empty_table()
+    def scan(t: pa.Table):
+        df = t.to_pandas()
         same1 = df["user_id"].eq(df["user_id"].shift())
         ok = same1 & df["user_id"].eq(df["user_id"].shift(2))
-        pairs = (
+        trios = (
             pd.DataFrame(
                 {
                     "t0": df["event_type"].shift(2)[ok],
@@ -3691,87 +3267,59 @@ def events_top_paths(sf_dir: str, k: int = 25) -> "Dataset | pa.Table":
             .rename("n")
             .reset_index()
         )
-        pairs.insert(0, "kind", "c")
-        pairs["user_id"] = 0
-        pairs["bk"] = ""
-        pairs["pos"] = 0
-        pairs["gap"] = False
         n = len(df)
-        u0, t0_us, e0 = (
-            int(df["user_id"].iloc[0]),
-            int(df["ts_us"].iloc[0]),
-            int(df["event_id"].iloc[0]),
-        )
-        assert 0 <= u0 < 10**18 and 0 <= t0_us < 10**18 and 0 <= e0 < 10**18
-        bk = "%019d:%019d:%019d" % (u0, t0_us, e0)
         idx = list(range(n)) if n <= 4 else [0, 1, n - 2, n - 1]
-        edge = pd.DataFrame(
-            {
-                "kind": "b",
-                "t0": "",
-                "t1": "",
-                "t2": df["event_type"].iloc[idx].to_numpy(),
-                "n": [0] * len(idx),
-                "user_id": df["user_id"].iloc[idx].to_numpy(),
-                "bk": bk,
-                "pos": list(range(len(idx))),
-                "gap": n > 4,
-            }
+        # (user, type) of the emitted edge rows, and whether interior
+        # rows sit between positions 1 and 2
+        edge = (
+            list(zip(df["user_id"].iloc[idx].tolist(), df["event_type"].iloc[idx].tolist())),
+            n > 4,
         )
-        out = pd.concat([pairs, edge], ignore_index=True)
-        return pa.Table.from_pandas(out, schema=part_schema, preserve_index=False)
+        return pa.Table.from_pandas(trios, schema=count_schema, preserve_index=False), edge
 
-    parts = sorted_ds.map_batches(
-        block_paths, batch_format="pandas", batch_size=None, zero_copy_batch=True
-    ).materialize()
-
-    edges = parts.filter(expr="kind == 'b'").to_pandas()
-    extra: dict[tuple[str, str, str], int] = {}
-    if len(edges):
-        edges = edges.sort_values(["bk", "pos"]).reset_index(drop=True)
-        # rebuild the gap-marked global edge sequence: entries are
-        # (user, type, block_key); adjacency[i] = True iff row i+1 is
-        # the IMMEDIATE global successor of row i
-        users = edges["user_id"].to_numpy()
-        types = edges["t2"].to_numpy()
-        bks = edges["bk"].to_numpy()
-        poss = edges["pos"].to_numpy()
-        gaps = edges["gap"].to_numpy()
-        m = len(edges)
-        adj = np.zeros(max(0, m - 1), dtype=bool)
-        for i in range(m - 1):
-            if bks[i + 1] == bks[i]:
-                # same block: consecutive emitted positions are global
-                # neighbors unless the interior gap sits between 1 and 2
-                adj[i] = not (gaps[i] and poss[i] == 1 and poss[i + 1] == 2)
-            else:
-                adj[i] = True  # block tail meets the next block's head
-        for i in range(m - 2):
+    # rebuild the gap-marked global edge sequence; each trio crossing a
+    # block boundary rides to the block of its last row
+    def stitch(edges: list) -> list[list[tuple[str, str, str]]]:
+        seq = [
+            (u, t, b, pos, gap)
+            for b, (rows, gap) in enumerate(edges)
+            for pos, (u, t) in enumerate(rows)
+        ]
+        # adj[i] = True iff row i+1 is the IMMEDIATE global successor
+        # of row i: a block tail always meets the next block's head;
+        # inside a block consecutive emitted positions are neighbors
+        # unless the interior gap sits between 1 and 2
+        adj = [
+            b_next != b or not (gap and pos == 1 and pos_next == 2)
+            for (_, _, b, pos, gap), (_, _, b_next, pos_next, _) in zip(seq, seq[1:])
+        ]
+        extra: list[list[tuple[str, str, str]]] = [[] for _ in edges]
+        for i in range(len(seq) - 2):
             if not (adj[i] and adj[i + 1]):
                 continue
-            if bks[i] == bks[i + 1] == bks[i + 2]:
+            (u0, t0, b0, _, _), (u1, t1, b1, _, _), (u2, t2, b2, _, _) = seq[i : i + 3]
+            if b0 == b1 == b2:
                 continue  # fully in-block: already counted distributedly
-            if users[i] == users[i + 1] == users[i + 2]:
-                key = (str(types[i]), str(types[i + 1]), str(types[i + 2]))
-                extra[key] = extra.get(key, 0) + 1
+            if u0 == u1 == u2:
+                extra[b2].append((str(t0), str(t1), str(t2)))
+        return extra
 
-    counts = parts.filter(expr="kind == 'c'").select_columns(
-        ["t0", "t1", "t2", "n"]
-    )
-    if extra:
-        counts = counts.union(
-            ray.data.from_arrow(
-                pa.table(
-                    {
-                        "t0": pa.array([x[0] for x in extra], pa.string()),
-                        "t1": pa.array([x[1] for x in extra], pa.string()),
-                        "t2": pa.array([x[2] for x in extra], pa.string()),
-                        "n": pa.array(list(extra.values()), pa.int64()),
-                    }
-                )
-            )
+    def finish(trios, extra) -> pa.Table:
+        if trios is None:
+            return count_schema.empty_table()
+        crossing = pa.Table.from_pylist(
+            [{"t0": a, "t1": b, "t2": c, "n": 1} for a, b, c in extra],
+            schema=count_schema,
         )
+        return pa.concat_tables([trios, crossing])
 
+    counts = sorted_run_scan(
+        ds.map_batches(to_us, batch_format="pyarrow"),
+        ["user_id", "ts_us", "event_id"],
+        scan,
+        stitch,
+        finish,
+    )
     merged = (
         _hagg_auto(counts, ["t0", "t1", "t2"], [('n', 'sum', 'n_paths')])
     )
@@ -4393,22 +3941,19 @@ def events_user_gini(sf_dir: str) -> "Dataset | pa.Table":
     take any order among equal x without changing the sum, so the
     result is partition-independent).
 
-    Shape: ONE per-user count groupby, ONE global sort on the count,
-    then per block a single vectorized pass emits (rows, sum_x,
-    sum_local_rank_x, packed block-head key) — the O(#blocks) driver
-    carry scan converts local ranks to global via offset * sum_x per
-    block, and the closed form is evaluated in Python bignums.  This
-    is the sorted-run prefix shape of doc_pack_blocks applied to a
+    Shape: ONE per-user count groupby, then ``sorted_run_scan`` on the
+    count: per block a single vectorized pass gives the summary (rows,
+    sum_x, sum_local_rank_x) — the O(#blocks) driver carry scan
+    converts local ranks to global via offset * sum_x per block, and
+    the closed form is evaluated in Python bignums.  This is the
+    sorted-run prefix shape of doc_pack_blocks applied to a
     scalar reduction: nothing user-sized reaches the driver."""
     ds = _read(sf_dir, "events", ["user_id"])
+    out_schema = pa.schema(
+        [("n_users", pa.int64()), ("n_events", pa.int64()), ("gini_ppm", pa.int64())]
+    )
     if ds.count() == 0:
-        return pa.schema(
-            [
-                ("n_users", pa.int64()),
-                ("n_events", pa.int64()),
-                ("gini_ppm", pa.int64()),
-            ]
-        ).empty_table()
+        return out_schema.empty_table()
 
     counts = (
         _hagg_auto(ds.map_batches(
@@ -4418,68 +3963,38 @@ def events_user_gini(sf_dir: str) -> "Dataset | pa.Table":
             batch_format="pyarrow",
         ), "user_id", [('x', 'sum', 'x')])
     )
-    sorted_ds = counts.sort(["x", "user_id"])
 
-    def block_partial(batch: pa.Table) -> pa.Table:
+    def scan(batch: pa.Table):
         n = batch.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "bk": pa.array([], pa.string()),
-                    "rows": pa.array([], pa.int64()),
-                    "sum_x": pa.array([], pa.int64()),
-                    "sum_jx_hi": pa.array([], pa.int64()),
-                    "sum_jx_lo": pa.array([], pa.int64()),
-                }
-            )
         x = batch.column("x").to_numpy()
-        u0 = int(batch.column("user_id").to_numpy()[0])
-        x0 = int(x[0])
-        assert 0 <= x0 < 10**18 and 0 <= u0 < 10**18
-        bk = "%019d:%019d" % (x0, u0)
         # local ranks are 1-based within the block; j * x stays well
         # below int64 per row but the SUM rides as limb pairs (rank ~
         # 1e9 x count ~ 1e9 = 1e18/row at whale scale)
         j = np.arange(1, n + 1, dtype=np.int64)
         hi, lo = _limb_sums(j * x)
-        return pa.table(
-            {
-                "bk": pa.array([bk], pa.string()),
-                "rows": pa.array([n], pa.int64()),
-                "sum_x": pa.array([int(x.sum(dtype=np.int64))], pa.int64()),
-                "sum_jx_hi": pa.array([hi], pa.int64()),
-                "sum_jx_lo": pa.array([lo], pa.int64()),
-            }
+        return None, (n, int(x.sum(dtype=np.int64)), hi, lo)
+
+    # the closed form over all blocks; its one row rides to block 0
+    def stitch(parts: list) -> list:
+        n_total = sum(rows for rows, _, _, _ in parts)
+        sx = sum(sum_x for _, sum_x, _, _ in parts)
+        six = 0
+        offset = 0
+        for rows, sum_x, hi, lo in parts:
+            six += (hi << _LIMB_SHIFT) + lo + offset * sum_x
+            offset += rows
+        num = 2 * six - (n_total + 1) * sx
+        den = n_total * sx
+        ppm = 0 if den == 0 else (2_000_000 * num + den) // (2 * den)
+        return [[(n_total, sx, ppm)]] + [[]] * (len(parts) - 1)
+
+    def finish(_, rows) -> pa.Table:
+        return pa.Table.from_pylist(
+            [dict(zip(out_schema.names, r)) for r in rows or []],
+            schema=out_schema,
         )
 
-    parts = (
-        sorted_ds.map_batches(
-            block_partial, batch_format="pyarrow", batch_size=None
-        )
-        .to_pandas()
-        .sort_values("bk")
-        .reset_index(drop=True)
-    )
-    n_total = int(parts["rows"].sum())
-    sx = int(parts["sum_x"].sum())
-    six = 0
-    offset = 0
-    for _, row in parts.iterrows():
-        local = (int(row["sum_jx_hi"]) << _LIMB_SHIFT) + int(row["sum_jx_lo"])
-        six += local + offset * int(row["sum_x"])
-        offset += int(row["rows"])
-    num = 2 * six - (n_total + 1) * sx
-    den = n_total * sx
-    ppm = 0 if den == 0 else (2_000_000 * num + den) // (2 * den)
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "n_users": pa.array([n_total], pa.int64()),
-                "n_events": pa.array([sx], pa.int64()),
-                "gini_ppm": pa.array([ppm], pa.int64()),
-            }
-        )
-    )
+    return sorted_run_scan(counts, ["x", "user_id"], scan, stitch, finish)
 
 
 def events_burstiness(sf_dir: str, min_gaps: int = 5) -> "Dataset | pa.Table":
@@ -4488,15 +4003,16 @@ def events_burstiness(sf_dir: str, min_gaps: int = 5) -> "Dataset | pa.Table":
     users, ~0 for Poisson arrivals, -> +1 for extreme burst-and-
     silence — the temporal-dynamics readout behind bot detection.
 
-    Shape: the sessionize/markov sorted-run family — ONE global
-    (user, ts_us, event_id) sort, per-block vectorized gap moments
-    (n, sum, sum-of-squares as limb pairs: gap^2 in us^2 reaches
-    ~1e22 only past 40-day gaps, but limbs make the reduction exact
-    regardless) plus block-edge records, O(#blocks) driver stitch adds
-    the one straddling gap per boundary; the per-user moment table is
-    user-sized, so the final reduce is ONE groupby.  sigma uses the
-    population variance from exact integer sums; B is ONE float
-    expression mirrored verbatim by the SQL oracle (9 dp)."""
+    Shape: the sessionize/markov ``sorted_run_scan`` family — ONE
+    global (user, ts_us, event_id) sort, per-block vectorized gap
+    moments (n, sum, sum-of-squares as limb pairs: gap^2 in us^2
+    reaches ~1e22 only past 40-day gaps, but limbs make the reduction
+    exact regardless) with the block's head and tail as its summary;
+    the O(#blocks) driver stitch adds the one straddling gap per
+    boundary; the per-user moment table is user-sized, so the final
+    reduce is ONE groupby.  sigma uses the population variance from
+    exact integer sums; B is ONE float expression mirrored verbatim by
+    the SQL oracle (9 dp)."""
     import pandas as pd
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
@@ -4518,27 +4034,14 @@ def events_burstiness(sf_dir: str, min_gaps: int = 5) -> "Dataset | pa.Table":
             }
         )
 
-    sorted_ds = ds.map_batches(to_us, batch_format="pyarrow").sort(
-        ["user_id", "ts_us", "event_id"]
-    )
-
     _Q = "qa_hi qa_lo qb_hi qb_lo qc_hi qc_lo".split()
-    part_schema = pa.schema(
-        [
-            ("kind", pa.string()),  # "m" moments | "b" block edge
-            ("user_id", pa.int64()),
-            ("n", pa.int64()),
-            ("s", pa.int64()),
-            *[(c, pa.int64()) for c in _Q],
-            ("ts_us", pa.int64()),
-            ("eid", pa.int64()),
-            ("pos", pa.int64()),  # edge rows: 0 head, 1 tail
-        ]
+    mom_schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "n", "s", *_Q)]
     )
+    from renard_ray.ops.communities import _sq_limbs
 
-    def block_moments(df: pd.DataFrame) -> pa.Table:
-        if df.empty:
-            return part_schema.empty_table()
+    def scan(tab: pa.Table):
+        df = tab.to_pandas()
         u = df["user_id"].to_numpy()
         t = df["ts_us"].to_numpy()
         same = u[1:] == u[:-1]
@@ -4548,7 +4051,6 @@ def events_burstiness(sf_dir: str, min_gaps: int = 5) -> "Dataset | pa.Table":
         gu_s, g_s = gu[order], gaps[order]
         uniq, starts = np.unique(gu_s, return_index=True)
         ends = np.r_[starts[1:], len(gu_s)]
-        from renard_ray.ops.communities import _sq_limbs
 
         rows = {k: [] for k in ("user_id", "n", "s", *_Q)}
         for uu, st, en in zip(uniq, starts, ends):
@@ -4562,60 +4064,37 @@ def events_burstiness(sf_dir: str, min_gaps: int = 5) -> "Dataset | pa.Table":
             rows["s"].append(int(g.sum(dtype=np.int64)))
             for c, v in zip(_Q, sq):
                 rows[c].append(v)
-        mom = pd.DataFrame(rows)
-        mom.insert(0, "kind", "m")
-        mom["ts_us"] = 0
-        mom["eid"] = 0
-        mom["pos"] = 0
-        edge = pd.DataFrame(
-            {
-                "kind": "b",
-                "user_id": df["user_id"].iloc[[0, -1]].to_numpy(),
-                "n": [0, 0],
-                "s": [0, 0],
-                **{c: [0, 0] for c in _Q},
-                "ts_us": df["ts_us"].iloc[[0, -1]].to_numpy(),
-                "eid": df["event_id"].iloc[[0, -1]].to_numpy(),
-                "pos": [0, 1],
-            }
-        )
-        out = pd.concat([mom, edge], ignore_index=True)
-        return pa.Table.from_pandas(out, schema=part_schema, preserve_index=False)
+        mom = pa.Table.from_pandas(pd.DataFrame(rows), schema=mom_schema, preserve_index=False)
+        # the block's head and tail (user, ts_us)
+        edge = tuple((int(u[i]), int(t[i])) for i in (0, -1))
+        return mom, edge
 
-    parts = sorted_ds.map_batches(
-        block_moments, batch_format="pandas", batch_size=None, zero_copy_batch=True
-    ).materialize()
-
-    from renard_ray.ops.communities import _sq_limbs as _sq
-
-    edges = parts.filter(expr="kind == 'b'").to_pandas()
-    extra_rows = {k: [] for k in ("user_id", "n", "s", *_Q)}
-    if len(edges):
-        edges = edges.sort_values(["user_id", "ts_us", "eid", "pos"]).reset_index(
-            drop=True
-        )
-        for i in range(len(edges) - 1):
-            a, b = edges.iloc[i], edges.iloc[i + 1]
-            if int(a["pos"]) == 1 and int(b["pos"]) == 0 and \
-                    a["user_id"] == b["user_id"]:
-                gap = int(b["ts_us"]) - int(a["ts_us"])
-                extra_rows["user_id"].append(int(a["user_id"]))
-                extra_rows["n"].append(1)
-                extra_rows["s"].append(gap)
-                for c, v in zip(_Q, _sq(np.array([gap], np.int64))):
-                    extra_rows[c].append(v)
-
-    moments = parts.filter(expr="kind == 'm'").select_columns(
-        ["user_id", "n", "s", *_Q]
-    )
-    if extra_rows["user_id"]:
-        moments = moments.union(
-            ray.data.from_arrow(
-                pa.table(
-                    {k: pa.array(v, pa.int64()) for k, v in extra_rows.items()}
-                )
+    # the one straddling gap per block boundary where the user
+    # continues rides to the later block
+    def stitch(edges: list) -> list[list[tuple]]:
+        extra: list[list[tuple]] = [[]]
+        for (_, (u_a, t_a)), ((u_b, t_b), _) in zip(edges, edges[1:]):
+            gap = t_b - t_a
+            extra.append(
+                [(u_a, 1, gap, *_sq_limbs(np.array([gap], np.int64)))] if u_a == u_b else []
             )
+        return extra
+
+    def with_crossing(mom, extra) -> pa.Table:
+        if mom is None:
+            return mom_schema.empty_table()
+        crossing = pa.Table.from_pylist(
+            [dict(zip(mom_schema.names, r)) for r in extra], schema=mom_schema
         )
+        return pa.concat_tables([mom, crossing])
+
+    moments = sorted_run_scan(
+        ds.map_batches(to_us, batch_format="pyarrow"),
+        ["user_id", "ts_us", "event_id"],
+        scan,
+        stitch,
+        with_crossing,
+    )
 
     agg = _hagg_auto(
         moments, "user_id", [(c, "sum", c) for c in ("n", "s", *_Q)]
@@ -5833,59 +5312,21 @@ def _attach_global_rank(
 ) -> Dataset:
     """1-based global rank of every row by (value_col, id_col) with
     ``descending`` applying to the value (ids always break ties
-    ascending) — the two-pass sorted-run + O(#blocks) offset-carry
-    shape of ``textstats.global_row_number``, generalized.
+    ascending) — ``sorted_run_scan`` with row counts as the summaries
+    and their exclusive prefix sums as the carries.
 
-    Returns the input columns plus ``rn``.  Values and ids must be
-    int64 in [-4.5e17, 4.5e17] (asserted): they pack into fixed-width
-    head keys whose lexicographic order equals the sort order."""
-    OFF = 5 * 10**17  # signed values pack as v + OFF, still 18 digits
+    Returns the input columns plus ``rn`` (only ``rn`` on a 0-row
+    input, whose columns the scan never sees)."""
 
-    sorted_ds = ds.sort([value_col, id_col], descending=[descending, False]).materialize()
+    def scan(batch: pa.Table):
+        return batch, batch.num_rows
 
-    def head_key(batch: pa.Table) -> str:
-        v = int(batch.column(value_col)[0].as_py())
-        i = int(batch.column(id_col)[0].as_py())
-        assert -OFF < v < OFF and -OFF < i < OFF, "_attach_global_rank: pack range"
-        vp = (OFF - v) if descending else (v + OFF)
-        return "%019d:%019d" % (vp, i + OFF)
+    def stitch(rows: list[int]) -> list[int]:
+        return np.concatenate(([0], np.cumsum(rows)[:-1])).tolist()
 
-    def summary(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {"bk": pa.array([], pa.string()), "rows": pa.array([], pa.int64())}
-            )
-        return pa.table(
-            {
-                "bk": pa.array([head_key(batch)], pa.string()),
-                "rows": pa.array([batch.num_rows], pa.int64()),
-            }
-        )
-
-    parts = (
-        sorted_ds.map_batches(summary, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-        .sort_values("bk")
-        .reset_index(drop=True)
-    )
-    offsets: dict = {}
-    off = 0
-    for _, row in parts.iterrows():
-        bk = str(row["bk"])
-        assert bk not in offsets, "_attach_global_rank: duplicate block head key"
-        offsets[bk] = off
-        off += int(row["rows"])
-    off_ref = ray.put(offsets)
-
-    _sch = ds.schema()
-    out_schema = pa.schema(
-        list(zip(_sch.names, _sch.types)) + [("rn", pa.int64())]
-    )
-
-    def attach(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return out_schema.empty_table()
-        start = ray.get(off_ref)[head_key(batch)]
+    def attach(batch, start) -> pa.Table:
+        if batch is None:
+            return pa.table({"rn": pa.array([], pa.int64())})
         return batch.append_column(
             "rn",
             pa.array(
@@ -5893,7 +5334,9 @@ def _attach_global_rank(
             ),
         )
 
-    return sorted_ds.map_batches(attach, batch_format="pyarrow", batch_size=None)
+    return sorted_run_scan(
+        ds, [value_col, id_col], scan, stitch, attach, descending=[descending, False]
+    )
 
 
 def _sql_ntile(rank: "np.ndarray", n: int, k: int) -> "np.ndarray":
@@ -5923,7 +5366,7 @@ def events_rfm_segments(sf_dir: str, k: int = 4) -> "Dataset | pa.Table":
 
     Shape notes: ONE |users|-bounded groupby builds the (last_us, n,
     spend_c) profile table; each dimension's NTILE comes from the
-    generic two-pass sorted-run rank attach (``_attach_global_rank`` —
+    generic ``sorted_run_scan`` rank attach (``_attach_global_rank`` —
     O(#blocks) driver carry, nothing user-sized on the driver) and the
     shared SQL-exact ``_sql_ntile`` formula (first n%k tiles take one
     extra row — NOT the even-spread ``(rn-1)*k//n + 1``); the three rank
@@ -6092,11 +5535,12 @@ def _session_boundary_deltas(sf_dir: str, gap_us: int) -> "Dataset | None":
     event and one -1 at its last — WITHOUT materializing session ids:
     after ONE (user, ts, event_id) sort, a row opens a session iff its
     previous same-user gap exceeds the threshold and closes one iff
-    its next same-user gap does.  Interior rows decide locally; each
-    block defers only its FIRST row's open-decision and LAST row's
-    close-decision to an O(#blocks) driver stitch over block-edge
-    records.  Returns None on an empty events table.  Shared by the
-    sweep-line peak and the session-duration statistics."""
+    its next same-user gap does (``sorted_run_scan``).  Interior rows
+    decide locally; each block defers only its FIRST row's
+    open-decision and LAST row's close-decision to an O(#blocks)
+    driver stitch over block-edge records.  Returns None on an empty
+    events table.  Shared by the sweep-line peak and the
+    session-duration statistics."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
     if ds.count() == 0:
         return None
@@ -6110,25 +5554,9 @@ def _session_boundary_deltas(sf_dir: str, gap_us: int) -> "Dataset | None":
             }
         )
 
-    sorted_ds = (
-        ds.map_batches(norm, batch_format="pyarrow")
-        .sort(["user_id", "us", "event_id"])
-        .materialize()
-    )
+    delta_schema = pa.schema([("t", pa.int64()), ("d", pa.int64()), ("eid", pa.int64())])
 
-    def deltas(batch: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "kind": pa.array([], pa.string()),
-                "t": pa.array([], pa.int64()),
-                "d": pa.array([], pa.int64()),
-                "eid": pa.array([], pa.int64()),
-                "user": pa.array([], pa.int64()),
-                "bk": pa.array([], pa.string()),
-            }
-        )
-        if batch.num_rows == 0:
-            return empty
+    def deltas(batch: pa.Table):
         u = batch.column("user_id").to_numpy()
         t = batch.column("us").to_numpy()
         eids = batch.column("event_id").to_numpy()
@@ -6148,13 +5576,8 @@ def _session_boundary_deltas(sf_dir: str, gap_us: int) -> "Dataset | None":
         oi = oi[oi > 0]
         ci = np.nonzero(closes)[0]
         ci = ci[ci < n - 1]
-        eid0 = int(batch.column("event_id")[0].as_py())
-        assert 0 <= int(u[0]) < 10**18 and 0 <= int(t[0]) < 10**18
-        assert 0 <= eid0 < 10**18, "session_deltas: event_id pack range"
-        bk = "%019d:%019d:%019d" % (int(u[0]), int(t[0]), eid0)
         rows = pa.table(
             {
-                "kind": pa.array(["d"] * (len(oi) + len(ci)), pa.string()),
                 "t": pa.array(np.concatenate([t[oi], t[ci]]), pa.int64()),
                 "d": pa.array(
                     np.concatenate(
@@ -6162,65 +5585,40 @@ def _session_boundary_deltas(sf_dir: str, gap_us: int) -> "Dataset | None":
                     )
                 ),
                 "eid": pa.array(np.concatenate([eids[oi], eids[ci]]), pa.int64()),
-                "user": pa.array(np.zeros(len(oi) + len(ci), np.int64)),
-                "bk": pa.array([""] * (len(oi) + len(ci)), pa.string()),
             }
         )
-        edges = pa.table(
-            {
-                "kind": pa.array(["first", "last"], pa.string()),
-                "t": pa.array([int(t[0]), int(t[-1])], pa.int64()),
-                "d": pa.array([0, 0], pa.int64()),
-                "eid": pa.array([int(eids[0]), int(eids[-1])], pa.int64()),
-                "user": pa.array([int(u[0]), int(u[-1])], pa.int64()),
-                "bk": pa.array([bk, bk], pa.string()),
-            }
-        )
-        return pa.concat_tables([rows, edges])
-
-    marked = sorted_ds.map_batches(
-        deltas, batch_format="pyarrow", batch_size=None
-    ).materialize()
+        # (user, t, eid) of the block's first and last rows
+        edges = tuple((int(u[i]), int(t[i]), int(eids[i])) for i in (0, -1))
+        return rows, edges
 
     # O(#blocks) stitch: decide each block's first-row open and
     # last-row close using the neighbouring block's edge record
-    edges_df = (
-        marked.filter(expr="kind != 'd'").to_pandas().sort_values(["bk", "kind"])
+    def stitch(edges: list) -> list[pa.Table]:
+        extra = []
+        nb = len(edges)
+        for i, ((fu, ft, fe), (lu, lt, le)) in enumerate(edges):
+            rows = []
+            # first row of block i: previous row is last row of block i-1
+            if i == 0 or edges[i - 1][1][0] != fu or ft - edges[i - 1][1][1] > gap_us:
+                rows.append({"t": ft, "d": 1, "eid": fe})
+            # last row of block i: next row is first row of block i+1
+            if i == nb - 1 or edges[i + 1][0][0] != lu or edges[i + 1][0][1] - lt > gap_us:
+                rows.append({"t": lt, "d": -1, "eid": le})
+            extra.append(pa.Table.from_pylist(rows, schema=delta_schema))
+        return extra
+
+    def finish(rows, extra) -> pa.Table:
+        if rows is None:
+            return delta_schema.empty_table()
+        return pa.concat_tables([rows, extra])
+
+    return sorted_run_scan(
+        ds.map_batches(norm, batch_format="pyarrow"),
+        ["user_id", "us", "event_id"],
+        deltas,
+        stitch,
+        finish,
     )
-    firsts = edges_df[edges_df["kind"] == "first"].reset_index(drop=True)
-    lasts = edges_df[edges_df["kind"] == "last"].reset_index(drop=True)
-    extra_t: list = []
-    extra_d: list = []
-    extra_e: list = []
-    nb = len(firsts)
-    for i in range(nb):
-        # first row of block i: previous row is last row of block i-1
-        fu, ft = int(firsts["user"][i]), int(firsts["t"][i])
-        if i == 0 or int(lasts["user"][i - 1]) != fu or (
-            ft - int(lasts["t"][i - 1]) > gap_us
-        ):
-            extra_t.append(ft)
-            extra_d.append(1)
-            extra_e.append(int(firsts["eid"][i]))
-        # last row of block i: next row is first row of block i+1
-        lu, lt = int(lasts["user"][i]), int(lasts["t"][i])
-        if i == nb - 1 or int(firsts["user"][i + 1]) != lu or (
-            int(firsts["t"][i + 1]) - lt > gap_us
-        ):
-            extra_t.append(lt)
-            extra_d.append(-1)
-            extra_e.append(int(lasts["eid"][i]))
-    extra = ray.data.from_arrow(
-        pa.table(
-            {
-                "t": pa.array(extra_t, pa.int64()),
-                "d": pa.array(extra_d, pa.int64()),
-                "eid": pa.array(extra_e, pa.int64()),
-            }
-        )
-    )
-    interior = marked.filter(expr="kind == 'd'").select_columns(["t", "d", "eid"])
-    return interior.union(extra)
 
 
 def events_peak_concurrency(
@@ -6231,12 +5629,12 @@ def events_peak_concurrency(
     microsecond that peak is reached — the capacity-planning readout.
 
     Shape notes: session-boundary (+1/-1) rows come from the shared
-    two-pass machinery (``_session_boundary_deltas``); the sweep sorts
-    them by (t, +1-before--1) so touching sessions count as concurrent
-    (inclusive intervals), each block reduces to (total_delta,
-    best_prefix, earliest t at best) and the O(#blocks) driver carry
-    adds running offsets — the sorted-run carry applied to a
-    prefix-MAX instead of a prefix sum.  Within a block the prefix is
+    ``_session_boundary_deltas``; the sweep is a second
+    ``sorted_run_scan`` by (t, +1-before--1) so touching sessions count
+    as concurrent (inclusive intervals), each block reduces to
+    (total_delta, best_prefix, earliest t at best) and the O(#blocks)
+    driver carry adds running offsets — the sorted-run carry applied
+    to a prefix-MAX instead of a prefix sum.  Within a block the prefix is
     vectorized cumsum/argmax."""
     out_schema = pa.schema([("peak", pa.int64()), ("at_us", pa.int64())])
     sweep = _session_boundary_deltas(sf_dir, int(gap_minutes) * 60_000_000)
@@ -6246,9 +5644,8 @@ def events_peak_concurrency(
     def order_key(batch: pa.Table) -> pa.Table:
         # +1 sorts before -1 at equal t: inclusive intervals — a
         # session ending at t overlaps one starting at t.  eid makes
-        # the sort key UNIQUE ((event, d) is unique), so block head
-        # keys cannot collide and the driver carry recovers the exact
-        # global block order.
+        # the sort key UNIQUE ((event, d) is unique), so the earliest
+        # t at the peak does not depend on the block boundaries.
         return pa.table(
             {
                 "t": batch.column("t"),
@@ -6258,64 +5655,36 @@ def events_peak_concurrency(
             }
         )
 
-    swept = (
-        sweep.map_batches(order_key, batch_format="pyarrow")
-        .sort(["t", "nd", "eid"])
-        .materialize()
-    )
-
-    def prefix_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "bk": pa.array([], pa.string()),
-                    "total": pa.array([], pa.int64()),
-                    "best": pa.array([], pa.int64()),
-                    "best_t": pa.array([], pa.int64()),
-                }
-            )
+    def scan(batch: pa.Table):
         t = batch.column("t").to_numpy()
-        d = batch.column("d").to_numpy()
-        c = np.cumsum(d)
+        c = np.cumsum(batch.column("d").to_numpy())
         j = int(np.argmax(c))  # earliest index at the block max
-        eid0 = int(batch.column("eid")[0].as_py())
-        assert 0 <= int(t[0]) < 10**18
-        assert 0 <= eid0 < 10**18, "peak_concurrency: event_id pack range"
-        bk = "%019d:%02d:%019d" % (
-            int(t[0]),
-            int(batch.column("nd")[0].as_py()) + 1,
-            eid0,
-        )
-        return pa.table(
-            {
-                "bk": pa.array([bk], pa.string()),
-                "total": pa.array([int(c[-1])], pa.int64()),
-                "best": pa.array([int(c[j])], pa.int64()),
-                "best_t": pa.array([int(t[j])], pa.int64()),
-            }
+        return None, (int(c[-1]), int(c[j]), int(t[j]))
+
+    # prefix-MAX over the blocks; the one result row rides to block 0
+    def stitch(parts: list) -> list:
+        peak = None
+        at = None
+        offset = 0
+        for total, best, best_t in parts:
+            cand = offset + best
+            if peak is None or cand > peak:
+                peak = cand
+                at = best_t
+            offset += total
+        return [[(peak, at)]] + [[]] * (len(parts) - 1)
+
+    def finish(_, rows) -> pa.Table:
+        return pa.Table.from_pylist(
+            [dict(zip(out_schema.names, r)) for r in rows or []], schema=out_schema
         )
 
-    parts = (
-        swept.map_batches(prefix_partial, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-        .sort_values("bk")
-        .reset_index(drop=True)
-    )
-    peak = None
-    at = None
-    offset = 0
-    for _, row in parts.iterrows():
-        cand = offset + int(row["best"])
-        if peak is None or cand > peak:
-            peak = cand
-            at = int(row["best_t"])
-        offset += int(row["total"])
-    if peak is None:
-        return out_schema.empty_table()
-    return ray.data.from_arrow(
-        pa.table(
-            {"peak": pa.array([peak], pa.int64()), "at_us": pa.array([at], pa.int64())}
-        )
+    return sorted_run_scan(
+        sweep.map_batches(order_key, batch_format="pyarrow"),
+        ["t", "nd", "eid"],
+        scan,
+        stitch,
+        finish,
     )
 
 
@@ -7123,12 +6492,9 @@ def _grouped_prefix_counts(od: Dataset) -> tuple[Dataset, Dataset]:
     price_c) is a pure function of these three integers, so
     PERCENT_RANK / CUME_DIST / median / arbitrary exact quantile
     selection all ride this one plan: combiner-fed distinct groupby,
-    ONE sort of the reduced table, in-block weighted prefix sums and
-    an O(#blocks) driver stitch carrying per-cust running totals
-    across block edges (both scans run batch_size=None over the SAME
-    materialized blocks so the stitch's block-head keys line up).
-    Requires non-negative cust and price_c (asserted: the zero-padded
-    block-head pack would reorder on a '-')."""
+    then ``sorted_run_scan`` of the reduced table — ONE sort, in-block
+    weighted prefix sums and an O(#blocks) driver stitch carrying
+    per-cust running totals across block edges."""
 
     def pair_combine(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -7144,79 +6510,16 @@ def _grouped_prefix_counts(od: Dataset) -> tuple[Dataset, Dataset]:
 
     from renard_ray.ops.hashagg import hash_aggregate
 
-    reduced = (
-        hash_aggregate(
-            od.map_batches(pair_combine, batch_format="pyarrow", batch_size=None),
-            ["cust", "price_c"],
-            [("cnt", "sum", "cnt")],
-        )
-        .sort(["cust", "price_c"])
-        .materialize()
+    reduced = hash_aggregate(
+        od.map_batches(pair_combine, batch_format="pyarrow", batch_size=None),
+        ["cust", "price_c"],
+        [("cnt", "sum", "cnt")],
     )
     ncust = hash_aggregate(reduced, "cust", [("cnt", "sum", "n")])
 
-    _sum_schema = pa.schema(
-        [
-            ("bk", pa.string()),
-            ("fc", pa.int64()),
-            ("lc", pa.int64()),
-            ("s_last", pa.int64()),
-        ]
-    )
-
-    def scan_summary(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _sum_schema.empty_table()
-        cust = np.asarray(batch.column("cust"), dtype=np.int64)
-        price = np.asarray(batch.column("price_c"), dtype=np.int64)
-        cnt = np.asarray(batch.column("cnt"), dtype=np.int64)
-        assert cust[0] >= 0 and price[0] >= 0, "prefix_counts: key pack range"
-        bk = "%019d:%019d" % (cust[0], price[0])
-        last_run = cust == cust[-1]
-        return pa.table(
-            {
-                "bk": pa.array([bk]),
-                "fc": pa.array([int(cust[0])], pa.int64()),
-                "lc": pa.array([int(cust[-1])], pa.int64()),
-                "s_last": pa.array([int(cnt[last_run].sum())], pa.int64()),
-            }
-        )
-
-    summaries = (
-        reduced.map_batches(scan_summary, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-        # O(#blocks) rows: sorting driver-side saves a Ray all-to-all
-        .sort_values("bk", ignore_index=True)
-    )
-    # O(#blocks) stitch: offset for a block's FIRST customer run =
-    # that customer's total count in all earlier blocks
-    offsets: dict[str, int] = {}
-    carry = 0
-    prev_lc = None
-    for bk, fc, lc, s_last in summaries[["bk", "fc", "lc", "s_last"]].itertuples(
-        index=False
-    ):
-        off = carry if fc == prev_lc else 0
-        offsets[bk] = off
-        carry = int(s_last) + (off if fc == lc else 0)
-        prev_lc = lc
-    off_ref = ray.put(offsets)
-
-    _rank_schema = pa.schema(
-        [
-            ("cust", pa.int64()),
-            ("price_c", pa.int64()),
-            ("below", pa.int64()),
-            ("upto", pa.int64()),
-        ]
-    )
-
-    def scan_ranks(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _rank_schema.empty_table()
+    def scan(batch: pa.Table):
         cust = np.asarray(batch.column("cust"), dtype=np.int64)
         cnt = np.asarray(batch.column("cnt"), dtype=np.int64)
-        price = np.asarray(batch.column("price_c"), dtype=np.int64)
         n = batch.num_rows
         cum = np.cumsum(cnt)
         new_grp = np.ones(n, dtype=bool)
@@ -7226,8 +6529,31 @@ def _grouped_prefix_counts(od: Dataset) -> tuple[Dataset, Dataset]:
         )
         # rows strictly below mine within my customer, block-local
         below = (cum - cnt) - (cum[gs] - cnt[gs])
-        off = ray.get(off_ref)["%019d:%019d" % (cust[0], price[0])]
-        below = below + np.where(cust == cust[0], off, 0)
+        last_run = cust == cust[-1]
+        summary = (int(cust[0]), int(cust[-1]), int(cnt[last_run].sum()))
+        return (batch, below, cust == cust[0]), summary
+
+    # O(#blocks) stitch: offset for a block's FIRST customer run =
+    # that customer's total count in all earlier blocks
+    def stitch(summaries: list) -> list[int]:
+        offsets = []
+        carry = 0
+        prev_lc = None
+        for fc, lc, s_last in summaries:
+            off = carry if fc == prev_lc else 0
+            offsets.append(off)
+            carry = s_last + (off if fc == lc else 0)
+            prev_lc = lc
+        return offsets
+
+    def finish(part, off) -> pa.Table:
+        if part is None:
+            return pa.schema(
+                [(c, pa.int64()) for c in ("cust", "price_c", "below", "upto")]
+            ).empty_table()
+        batch, below, first_run = part
+        below = below + np.where(first_run, off, 0)
+        cnt = np.asarray(batch.column("cnt"), dtype=np.int64)
         return pa.table(
             {
                 "cust": batch.column("cust"),
@@ -7237,7 +6563,7 @@ def _grouped_prefix_counts(od: Dataset) -> tuple[Dataset, Dataset]:
             }
         )
 
-    ranks = reduced.map_batches(scan_ranks, batch_format="pyarrow", batch_size=None)
+    ranks = sorted_run_scan(reduced, ["cust", "price_c"], scan, stitch, finish)
     return ranks, ncust
 
 
@@ -7254,7 +6580,7 @@ def orders_percent_rank(sf_dir: str) -> "Dataset | pa.Table":
     table — a combiner-fed groupby.  That reduced table is sorted
     once; each block computes in-block weighted prefix sums and the
     O(#blocks) driver stitch carries per-customer running totals
-    across block edges (same sorted-run machinery as the dense-rank /
+    across block edges (``sorted_run_scan``, as the dense-rank /
     moving-sum ops, applied to counts instead of rows).  Ranks join
     back to orders by the (customer, price) MULTI-COLUMN hash join
     and the partition size attaches via a size-adaptive single-key
@@ -7678,9 +7004,9 @@ def part_skyline(sf_dir: str) -> "Dataset | pa.Table":
     set collapses to the per-price MAX table — a combiner-fed groupby
     bounded by |distinct prices|, never row count.  Frontier
     membership over that reduced table is "size strictly above every
-    cheaper price's max" — a sorted-run prefix-MAX with the O(#blocks)
-    carry (block summaries collect block max; the stitch hands each
-    block the running max of all earlier blocks).  Surviving (price,
+    cheaper price's max" — a ``sorted_run_scan`` prefix-MAX with the
+    O(#blocks) carry (block summaries collect block max; the stitch
+    hands each block the running max of all earlier blocks).  Surviving (price,
     max-size) pairs join back to part by the multi-column hash join,
     recovering ALL parts on frontier points (ties share the
     frontier)."""
@@ -7714,46 +7040,28 @@ def part_skyline(sf_dir: str) -> "Dataset | pa.Table":
             ["price_c", "ms"]
         )
 
-    g = (
-        _hagg_auto(d.map_batches(per_price_max, batch_format="pyarrow", batch_size=None), "price_c", [('ms', 'max', 'ms')])
-        .sort("price_c")
-        .materialize()
+    g = _hagg_auto(
+        d.map_batches(per_price_max, batch_format="pyarrow", batch_size=None),
+        "price_c",
+        [("ms", "max", "ms")],
     )
 
-    _sum_schema = pa.schema([("bk", pa.string()), ("bmax", pa.int64())])
+    def scan(batch: pa.Table):
+        return batch, int(np.asarray(batch.column("ms"), dtype=np.int64).max())
 
-    def block_summary(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _sum_schema.empty_table()
-        price = np.asarray(batch.column("price_c"), dtype=np.int64)
-        ms = np.asarray(batch.column("ms"), dtype=np.int64)
-        assert price[0] >= 0, "skyline: price pack range"
-        return pa.table(
-            {
-                "bk": pa.array(["%019d" % price[0]]),
-                "bmax": pa.array([int(ms.max())], pa.int64()),
-            }
-        )
+    # exclusive running max of the block maxima
+    def stitch(bmaxes: list[int]) -> list[int]:
+        carries = []
+        run = -(10**18)
+        for bmax in bmaxes:
+            carries.append(run)
+            run = max(run, bmax)
+        return carries
 
-    summaries = (
-        g.map_batches(block_summary, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-        # O(#blocks) rows: sorting driver-side saves a Ray all-to-all
-        .sort_values("bk", ignore_index=True)
-    )
-    carries: dict[str, int] = {}
-    run = -(10**18)
-    for bk, bmax in summaries[["bk", "bmax"]].itertuples(index=False):
-        carries[bk] = run
-        run = max(run, int(bmax))
-    carry_ref = ray.put(carries)
-
-    def frontier(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
+    def frontier(batch, carry) -> pa.Table:
+        if batch is None:
             return _g_schema.empty_table()
-        price = np.asarray(batch.column("price_c"), dtype=np.int64)
         ms = np.asarray(batch.column("ms"), dtype=np.int64)
-        carry = ray.get(carry_ref)["%019d" % price[0]]
         # prefix max of all STRICTLY cheaper prices: within the sorted
         # per-price table that is the running max shifted by one row
         prev = np.empty(len(ms), np.int64)
@@ -7768,12 +7076,11 @@ def part_skyline(sf_dir: str) -> "Dataset | pa.Table":
             }
         )
 
-    f = g.map_batches(frontier, batch_format="pyarrow", batch_size=None)
+    f = sorted_run_scan(g, "price_c", scan, stitch, frontier)
     d_s = _schemaful(d)
-    f_s = _schemaful(f)
-    if d_s is None or f_s is None:
+    if d_s is None:
         return out_schema.empty_table()
-    joined = hash_join(d_s, f_s, ["price_c", "p_size"], ["price_c", "ms"])
+    joined = hash_join(d_s, f, ["price_c", "p_size"], ["price_c", "ms"])
     return joined.select_columns(["p_partkey", "price_c", "p_size"])
 
 
@@ -7786,7 +7093,7 @@ def events_time_weighted_value(sf_dir: str) -> "Dataset | pa.Table":
     span (single event, or all events at one instant) drop, as a
     zero-length integral is undefined.
 
-    Shape notes: consecutive-pair products ride the house sorted-run —
+    Shape notes: consecutive-pair products ride ``sorted_run_scan`` —
     ONE (user, ts, event_id) sort, each block multiplies its interior
     pairs vectorized and defers only its edge rows to the O(#blocks)
     driver stitch (the cross-block pair is last-row-of-i ×
@@ -7815,9 +7122,6 @@ def events_time_weighted_value(sf_dir: str) -> "Dataset | pa.Table":
             "time_weighted_value: value cents >= 1e9 break the limb bound"
         )
         us = _ts_us(batch.column("ts"))
-        assert pc.min(us).as_py() is None or pc.min(us).as_py() >= 0, (
-            "time_weighted_value: pre-epoch ts breaks the zero-padded pack"
-        )
         return pa.table(
             {
                 "user_id": batch.column("user_id"),
@@ -7827,37 +7131,15 @@ def events_time_weighted_value(sf_dir: str) -> "Dataset | pa.Table":
             }
         )
 
-    sorted_ds = (
-        ds.map_batches(norm, batch_format="pyarrow")
-        .sort(["user_id", "us", "event_id"])
-        .materialize()
-    )
-
-    _part_schema = pa.schema(
-        [
-            ("kind", pa.string()),
-            ("user", pa.int64()),
-            ("a", pa.int64()),
-            ("b", pa.int64()),
-            ("t", pa.int64()),
-            ("v", pa.int64()),
-            ("bk", pa.string()),
-        ]
-    )
+    normed = ds.map_batches(norm, batch_format="pyarrow").materialize()
     _MASK = (1 << 31) - 1
+    num_schema = pa.schema([("user", pa.int64()), ("a", pa.int64()), ("b", pa.int64())])
 
-    def pair_partials(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _part_schema.empty_table()
+    def pair_partials(batch: pa.Table):
         u = batch.column("user_id").to_numpy()
         t = batch.column("us").to_numpy()
         v = batch.column("v").to_numpy()
         n = len(u)
-        eid0 = int(batch.column("event_id")[0].as_py())
-        assert 0 <= int(u[0]) < 10**18 and 0 <= eid0 < 10**18, (
-            "time_weighted_value: block-head pack range"
-        )
-        bk = "%019d:%019d:%019d" % (int(u[0]), int(t[0]), eid0)
         rows: dict[str, list] = {k: [] for k in ("user", "a", "b")}
         if n > 1:
             same = u[:-1] == u[1:]
@@ -7883,68 +7165,30 @@ def events_time_weighted_value(sf_dir: str) -> "Dataset | pa.Table":
                 rows["user"].append(int(uk))
                 rows["a"].append(a)
                 rows["b"].append(b)
-        m = len(rows["user"])
-        interior = pa.table(
-            {
-                "kind": pa.array(["d"] * m, pa.string()),
-                "user": pa.array(rows["user"], pa.int64()),
-                "a": pa.array(rows["a"], pa.int64()),
-                "b": pa.array(rows["b"], pa.int64()),
-                "t": pa.array([0] * m, pa.int64()),
-                "v": pa.array([0] * m, pa.int64()),
-                "bk": pa.array([""] * m, pa.string()),
-            }
-        )
-        edges = pa.table(
-            {
-                "kind": pa.array(["first", "last"], pa.string()),
-                "user": pa.array([int(u[0]), int(u[-1])], pa.int64()),
-                "a": pa.array([0, 0], pa.int64()),
-                "b": pa.array([0, 0], pa.int64()),
-                "t": pa.array([int(t[0]), int(t[-1])], pa.int64()),
-                "v": pa.array([int(v[0]), int(v[-1])], pa.int64()),
-                "bk": pa.array([bk, bk], pa.string()),
-            }
-        )
-        return pa.concat_tables([interior, edges])
+        interior = pa.table(rows, schema=num_schema)
+        # (user, t) of the first row, (user, t, v) of the last
+        edges = ((int(u[0]), int(t[0])), (int(u[-1]), int(t[-1]), int(v[-1])))
+        return interior, edges
 
-    marked = sorted_ds.map_batches(
-        pair_partials, batch_format="pyarrow", batch_size=None
-    ).materialize()
+    # cross-block pair: last row of block i x first row of block i+1,
+    # riding to block i+1
+    def stitch(edges: list) -> list[list[dict]]:
+        extra: list[list[dict]] = [[]]
+        for (_, (lu, lt, lv)), ((fu, ft), _) in zip(edges, edges[1:]):
+            p = lv * (ft - lt)  # exact Python int
+            extra.append([{"user": lu, "a": p >> 31, "b": p & _MASK}] if lu == fu else [])
+        return extra
 
-    edges_df = (
-        marked.filter(expr="kind != 'd'").to_pandas().sort_values(["bk", "kind"])
+    def finish(interior, extra) -> pa.Table:
+        if interior is None:
+            return num_schema.empty_table()
+        return pa.concat_tables([interior, pa.Table.from_pylist(extra, schema=num_schema)])
+
+    partials = sorted_run_scan(
+        normed, ["user_id", "us", "event_id"], pair_partials, stitch, finish
     )
-    firsts = edges_df[edges_df["kind"] == "first"].reset_index(drop=True)
-    lasts = edges_df[edges_df["kind"] == "last"].reset_index(drop=True)
-    xu: list[int] = []
-    xa: list[int] = []
-    xb: list[int] = []
-    for i in range(len(firsts) - 1):
-        # cross-block pair: last row of block i x first row of block i+1
-        lu, lt, lv = int(lasts["user"][i]), int(lasts["t"][i]), int(lasts["v"][i])
-        fu, ft = int(firsts["user"][i + 1]), int(firsts["t"][i + 1])
-        if lu != fu:
-            continue
-        p = lv * (ft - lt)  # exact Python int
-        xu.append(lu)
-        xa.append(p >> 31)
-        xb.append(p & _MASK)
-    extra = ray.data.from_arrow(
-        pa.table(
-            {
-                "user": pa.array(xu, pa.int64()),
-                "a": pa.array(xa, pa.int64()),
-                "b": pa.array(xb, pa.int64()),
-            }
-        )
-    )
-    num = (
-        _hagg_auto(marked.filter(expr="kind == 'd'")
-        .select_columns(["user", "a", "b"])
-        .union(extra), "user", [('a', 'sum', 'a'), ('b', 'sum', 'b')])
-    )
-    span = _hagg_auto(sorted_ds, "user_id", [('us', 'min', 't0'), ('us', 'max', 't1')])
+    num = _hagg_auto(partials, "user", [('a', 'sum', 'a'), ('b', 'sum', 'b')])
+    span = _hagg_auto(normed, "user_id", [('us', 'min', 't0'), ('us', 'max', 't1')])
     num_s = _scrub_schemaless(num)
     if num_s is None:
         return out_schema.empty_table()
@@ -7988,8 +7232,8 @@ def lineitem_abc_classes(sf_dir: str) -> "Dataset | pa.Table":
     CROSSES a boundary belongs to the richer class).
 
     Shape notes: per-part revenue is a combiner-fed groupby (the only
-    fact-scale exchange); the cumulative sum rides the house
-    sorted-run — ONE sort of the |parts|-bounded revenue table by
+    fact-scale exchange); the cumulative sum rides
+    ``sorted_run_scan`` — ONE sort of the |parts|-bounded revenue table by
     (rev desc, partkey), per-block cumsum, O(#blocks) driver carry of
     block totals.  Class predicates are exact integer inequalities
     (5*(cum-rev) < 4*total etc.), no ppm rounding anywhere; the
@@ -8040,52 +7284,28 @@ def lineitem_abc_classes(sf_dir: str) -> "Dataset | pa.Table":
             }
         )
 
-    srt = (
-        pr.map_batches(order_key, batch_format="pyarrow")
-        .sort(["neg_rev", "pk"])
-        .materialize()
-    )
-
-    _sum_schema = pa.schema([("bk", pa.string()), ("btotal", pa.int64())])
-
-    def block_summary(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _sum_schema.empty_table()
+    def scan(batch: pa.Table):
         rev = np.asarray(batch.column("rev_c"), dtype=np.int64)
-        pk0 = int(batch.column("pk")[0].as_py())
-        assert rev[0] >= 0 and pk0 >= 0, "abc: block-head pack range"
-        bk = "%019d:%019d" % (10**18 - int(rev[0]), pk0)
-        return pa.table(
-            {
-                "bk": pa.array([bk]),
-                "btotal": pa.array([int(rev.sum())], pa.int64()),
-            }
+        return batch, int(rev.sum())
+
+    def stitch(btotals: list[int]) -> list[tuple[int, int]]:
+        offsets = []
+        run = 0
+        for btotal in btotals:
+            offsets.append(run)
+            run += btotal
+        total = run
+        assert total < 4 * 10**17, (
+            "abc: corpus revenue exceeds the int64 predicate bound — widen "
+            "to limb arithmetic"
         )
+        return [(off, total) for off in offsets]
 
-    summaries = (
-        srt.map_batches(block_summary, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-        # O(#blocks) rows: sorting driver-side saves a Ray all-to-all
-        .sort_values("bk", ignore_index=True)
-    )
-    offsets: dict[str, int] = {}
-    run = 0
-    for bk, btotal in summaries[["bk", "btotal"]].itertuples(index=False):
-        offsets[bk] = run
-        run += int(btotal)
-    total = run
-    assert total < 4 * 10**17, (
-        "abc: corpus revenue exceeds the int64 predicate bound — widen "
-        "to limb arithmetic"
-    )
-    off_ref = ray.put(offsets)
-
-    def classify(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
+    def classify(batch, carry) -> pa.Table:
+        if batch is None:
             return out_schema.empty_table()
+        off, total = carry
         rev = np.asarray(batch.column("rev_c"), dtype=np.int64)
-        pk0 = int(batch.column("pk")[0].as_py())
-        off = ray.get(off_ref)["%019d:%019d" % (10**18 - int(rev[0]), pk0)]
         before = off + np.cumsum(rev) - rev  # cumulative share BEFORE me
         cls = np.where(
             5 * before < 4 * total, "A", np.where(20 * before < 19 * total, "B", "C")
@@ -8098,7 +7318,13 @@ def lineitem_abc_classes(sf_dir: str) -> "Dataset | pa.Table":
             }
         )
 
-    return srt.map_batches(classify, batch_format="pyarrow", batch_size=None)
+    return sorted_run_scan(
+        pr.map_batches(order_key, batch_format="pyarrow"),
+        ["neg_rev", "pk"],
+        scan,
+        stitch,
+        classify,
+    )
 
 
 def events_modal_type_per_user(sf_dir: str) -> "Dataset | pa.Table":
@@ -8919,7 +8145,7 @@ def events_gap_percentiles(sf_dir: str) -> "Dataset | pa.Table":
     semantics are DISC (rank = ceil(p*n), the value actually present)
     matching ``quantile_disc``.
 
-    Shape notes: gaps ride the house sorted-run — ONE (user, ts,
+    Shape notes: gaps ride ``sorted_run_scan`` — ONE (user, ts,
     event_id) sort, interior consecutive pairs vectorized per block,
     the cross-block pair recovered by the O(#blocks) edge stitch
     (block i's last row x block i+1's first row, same-user only);
@@ -8960,24 +8186,12 @@ def events_gap_percentiles(sf_dir: str) -> "Dataset | pa.Table":
     tid_ref = ray.put(pa.array(types_sorted, pa.string()))
 
     def norm(batch: pa.Table) -> pa.Table:
-        us = _ts_us(batch.column("ts"))
-        assert batch.num_rows == 0 or pc.min(us).as_py() >= 0, (
-            "gap_percentiles: pre-epoch ts breaks the zero-padded pack"
-        )
-        eid = batch.column("event_id")
-        assert batch.num_rows == 0 or pc.min(eid).as_py() >= 0, (
-            "gap_percentiles: negative event_id breaks the pack"
-        )
-        assert (
-            batch.num_rows == 0
-            or pc.min(batch.column("user_id")).as_py() >= 0
-        ), "gap_percentiles: negative user_id breaks the pack"
         tids = ray.get(tid_ref)
         return pa.table(
             {
                 "user_id": batch.column("user_id"),
-                "us": us,
-                "event_id": eid,
+                "us": _ts_us(batch.column("ts")),
+                "event_id": batch.column("event_id"),
                 # dense id = position in the sorted type list (Arrow-
                 # vectorized; the bounded list is broadcast once)
                 "tid": pc.cast(
@@ -8987,73 +8201,44 @@ def events_gap_percentiles(sf_dir: str) -> "Dataset | pa.Table":
             }
         )
 
-    sorted_ds = (
-        ds.map_batches(norm, batch_format="pyarrow")
-        .sort(["user_id", "us", "event_id"])
-        .materialize()
-    )
+    gap_schema = pa.schema([("cust", pa.int64()), ("price_c", pa.int64())])
 
-    _gp_schema = pa.schema(
-        [("kind", pa.string()), ("bk", pa.string()), ("cust", pa.int64()), ("price_c", pa.int64())]
-    )
-
-    def block_pass(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _gp_schema.empty_table()
+    def block_pass(batch: pa.Table):
         u = np.asarray(batch.column("user_id"), dtype=np.int64)
         us = np.asarray(batch.column("us"), dtype=np.int64)
         t = np.asarray(batch.column("tid"), dtype=np.int64)
-        eid = np.asarray(batch.column("event_id"), dtype=np.int64)
         same = u[1:] == u[:-1]
-        gaps = (us[1:] - us[:-1])[same]
-        gtid = t[1:][same]
-        bk = "%019d:%019d:%019d" % (u[0], us[0], eid[0])
-        kinds = ["g"] * len(gaps) + ["first", "last"]
-        custs = list(gtid) + [int(t[0]), int(u[-1])]
-        prices = list(gaps) + [int(u[0]), int(us[-1])]
-        bks = [""] * len(gaps) + [bk, bk]
-        return pa.table(
-            {
-                "kind": pa.array(kinds, pa.string()),
-                "bk": pa.array(bks, pa.string()),
-                "cust": pa.array(custs, pa.int64()),
-                "price_c": pa.array(prices, pa.int64()),
-            }
+        # (tid, gap) pairs in the shared prefix-count plan's columns
+        gaps = pa.table(
+            {"cust": pa.array(t[1:][same]), "price_c": pa.array((us[1:] - us[:-1])[same])},
+            schema=gap_schema,
         )
+        # (user, us, tid) of the first row, (user, us) of the last
+        edges = ((int(u[0]), int(us[0]), int(t[0])), (int(u[-1]), int(us[-1])))
+        return gaps, edges
 
-    passed = sorted_ds.map_batches(
-        block_pass, batch_format="pyarrow", batch_size=None
-    ).materialize()
-    interior = passed.filter(expr="kind == 'g'").select_columns(["cust", "price_c"])
-    edges = passed.filter(expr="kind != 'g'").to_pandas()
-    # O(#blocks) stitch: pair block i's last row with block i+1's first
-    edge_rows: list[tuple[int, int]] = []
-    firsts = edges[edges["kind"] == "first"].sort_values("bk")
-    lasts = edges[edges["kind"] == "last"].sort_values("bk")
-    fl = list(
-        zip(
-            firsts["bk"],
-            firsts["cust"],  # first row's tid
-            firsts["price_c"],  # first row's user
-            lasts["cust"],  # last row's user
-            lasts["price_c"],  # last row's us
-        )
+    # O(#blocks) stitch: pair block i's last row with block i+1's
+    # first, riding to block i+1
+    def stitch(edges: list) -> list[list[dict]]:
+        extra: list[list[dict]] = [[]]
+        for (_, (l_user, l_us)), ((f_user, f_us, f_tid), _) in zip(edges, edges[1:]):
+            extra.append(
+                [{"cust": f_tid, "price_c": f_us - l_us}] if f_user == l_user else []
+            )
+        return extra
+
+    def finish(gaps, extra) -> pa.Table:
+        if gaps is None:
+            return gap_schema.empty_table()
+        return pa.concat_tables([gaps, pa.Table.from_pylist(extra, schema=gap_schema)])
+
+    gaps_ds = sorted_run_scan(
+        ds.map_batches(norm, batch_format="pyarrow"),
+        ["user_id", "us", "event_id"],
+        block_pass,
+        stitch,
+        finish,
     )
-    for i in range(1, len(fl)):
-        _, f_tid, f_user, _, _ = fl[i]
-        _, _, _, l_user_prev, l_us_prev = fl[i - 1]
-        f_us = int(fl[i][0].split(":")[1])
-        if int(f_user) == int(l_user_prev):
-            edge_rows.append((int(f_tid), int(f_us) - int(l_us_prev)))
-    gaps_ds = interior
-    if edge_rows:
-        et = pa.table(
-            {
-                "cust": pa.array([r[0] for r in edge_rows], pa.int64()),
-                "price_c": pa.array([r[1] for r in edge_rows], pa.int64()),
-            }
-        )
-        gaps_ds = interior.union(ray.data.from_arrow(et))
     if gaps_ds.count() == 0:
         return out_schema.empty_table()
 
@@ -9080,12 +8265,12 @@ def lineitem_weighted_percentiles(sf_dir: str) -> "Dataset | pa.Table":
 
     Shape notes: distinct (price, weight-sum) reduce through the
     combiner-fed groupby (the one fact-scale exchange, bounded by
-    |distinct prices|); ONE sort of the reduced table; pass 1 emits
-    per-block (head-key, block weight) summaries, the O(#blocks)
-    driver scan hands each block its exclusive weight offset, pass 2
-    (same materialized blocks) finds each threshold's crossing row
-    with a vectorized filter — each threshold selects EXACTLY one row
-    globally, so the final reduce is a 3-value Sum."""
+    |distinct prices|); ``sorted_run_scan`` of the reduced table —
+    ONE sort, block weights as the summaries, the O(#blocks) driver
+    scan hands each block its exclusive weight offset, and the finish
+    pass finds each threshold's crossing row with a vectorized filter
+    — each threshold selects EXACTLY one row globally, so the final
+    reduce is a 3-value sum over the O(#blocks) pick rows."""
     out_schema = pa.schema(
         [
             ("wp25_c", pa.int64()),
@@ -9116,69 +8301,49 @@ def lineitem_weighted_percentiles(sf_dir: str) -> "Dataset | pa.Table":
     )
     if pw is None:
         return out_schema.empty_table()
-    srt = pw.sort("p").materialize()
-
-    _sm_schema = pa.schema([("bk", pa.string()), ("bw", pa.int64())])
-
-    def summary(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _sm_schema.empty_table()
-        p = np.asarray(batch.column("p"), dtype=np.int64)
-        w = np.asarray(batch.column("w"), dtype=np.int64)
-        assert p[0] >= 0, "weighted_percentiles: negative price pack"
-        return pa.table(
-            {
-                "bk": pa.array(["%019d" % p[0]], pa.string()),
-                "bw": pa.array([int(w.sum(dtype=np.int64))], pa.int64()),
-            }
-        )
-
-    sm = (
-        srt.map_batches(summary, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-        # O(#blocks) rows: sorting driver-side saves a Ray all-to-all
-        .sort_values("bk", ignore_index=True)
-    )
-    total_w = int(sm["bw"].sum())
-    if total_w <= 0:
-        return out_schema.empty_table()
-    assert total_w < 2**61, (
-        "weighted_percentiles: 4*cum would wrap int64 — widen the "
-        "threshold arithmetic to limb pairs"
-    )
-    offsets = {
-        bk: int(off)
-        for bk, off in zip(sm["bk"], sm["bw"].cumsum().shift(fill_value=0))
-    }
-    off_ref = ray.put(offsets)
     # threshold numerators: k*cum >= num  <=>  cum >= p*W (exact ints)
     # p25: 4*cum >= W ; p50: 2*cum >= W ; p75: 4*cum >= 3*W
     thresholds = (("wp25_c", 4, 1), ("wp50_c", 2, 1), ("wp75_c", 4, 3))
+    pick_schema = pa.schema([(n, pa.int64()) for n in ("bw", *(n for n, _, _ in thresholds))])
 
-    _pk_schema = pa.schema([(n, pa.int64()) for n, _, _ in thresholds])
+    def scan(batch: pa.Table):
+        w = np.asarray(batch.column("w"), dtype=np.int64)
+        return batch, int(w.sum(dtype=np.int64))
 
-    def pick(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _pk_schema.empty_table()
+    def stitch(bws: list[int]) -> list[tuple[int, int]]:
+        total_w = int(sum(bws))
+        assert total_w < 2**61, (
+            "weighted_percentiles: 4*cum would wrap int64 — widen the "
+            "threshold arithmetic to limb pairs"
+        )
+        offsets = np.concatenate(([0], np.cumsum(bws)[:-1]))
+        return [(int(off), total_w) for off in offsets]
+
+    # one row per block: its weight and the prices of the thresholds it
+    # crosses — each threshold selects EXACTLY one row globally
+    def pick(batch, carry) -> pa.Table:
+        if batch is None:
+            return pick_schema.empty_table()
+        off, total_w = carry
         p = np.asarray(batch.column("p"), dtype=np.int64)
         w = np.asarray(batch.column("w"), dtype=np.int64)
-        off = ray.get(off_ref)["%019d" % p[0]]
         cum = off + np.cumsum(w)
         before = cum - w
-        cols = {}
+        cols = {"bw": pa.array([int(w.sum(dtype=np.int64))], pa.int64())}
         for name, k, mult in thresholds:
             hit = (k * cum >= mult * total_w) & (k * before < mult * total_w)
             cols[name] = pa.array([int(p[hit].sum())], pa.int64())
         return pa.table(cols)
 
-    agg = srt.map_batches(pick, batch_format="pyarrow", batch_size=None).aggregate(
-        *[Sum(n, alias_name=n) for n, _, _ in thresholds]
-    )
+    picks = sorted_run_scan(pw, "p", scan, stitch, pick).to_pandas()
+    total_w = int(picks["bw"].sum())
+    if total_w <= 0:
+        return out_schema.empty_table()
     return pa.table(
         {
-            "wp25_c": pa.array([int(agg["wp25_c"])], pa.int64()),
-            "wp50_c": pa.array([int(agg["wp50_c"])], pa.int64()),
-            "wp75_c": pa.array([int(agg["wp75_c"])], pa.int64()),
+            "wp25_c": pa.array([int(picks["wp25_c"].sum())], pa.int64()),
+            "wp50_c": pa.array([int(picks["wp50_c"].sum())], pa.int64()),
+            "wp75_c": pa.array([int(picks["wp75_c"].sum())], pa.int64()),
             "total_w": pa.array([total_w], pa.int64()),
         }
     )
@@ -9851,7 +9016,7 @@ def customer_rfm_scores(sf_dir: str, k: int = 5) -> "Dataset | pa.Table":
 
     Shape notes: per-customer metrics are ONE fact-scale combiner
     exchange over orders; the three global ranks each ride the
-    two-pass ``_attach_global_rank`` sorted-run (sorts of the
+    ``_attach_global_rank`` ``sorted_run_scan`` (sorts of the
     |customers|-bounded metric table, never of orders); the NTILE
     formula is vectorized batch arithmetic from (rank, n_customers).
     """

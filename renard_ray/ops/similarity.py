@@ -20,6 +20,7 @@ import ray
 from ray.data import Dataset
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
+from renard_ray.ops.runscan import sorted_run_scan
 
 
 def _read_embeddings(sf_dir: str) -> Dataset:
@@ -528,10 +529,10 @@ def knn_graph_dataset(
     exact all-pairs compute is inherent to an exact kNN graph), but
     each tile emits only its PER-ROW TOP-K (global top-k is a subset
     of the union of tile top-ks), so the merge input is n·B·k rows,
-    not n^2.  The merge is the house sorted-run shape: ONE global sort
-    on (src, inv_sim_ppm, dst), vectorized block-local row numbers,
-    and an O(#blocks) driver carry scan that offsets the single
-    straddling src run per block — no per-group map_groups at any
+    not n^2.  The merge is ``sorted_run_scan`` (``ops/runscan.py``): ONE
+    global sort on (src, inv_sim_ppm, dst), vectorized block-local row
+    numbers, and an O(#blocks) driver carry scan that offsets the
+    single straddling src run per block — no per-group map_groups at any
     scale.  Similarities are quantized to ppm ints BEFORE ranking
     (ties break on dst asc), so the graph is deterministic.
 
@@ -627,33 +628,9 @@ def knn_graph_dataset(
             }
         )
 
-    sorted_ds = (
-        cands.map_batches(inv, batch_format="pyarrow")
-        .sort(["src", "iv", "dst"])
-        .materialize()
-    )
-
-    _schema = pa.schema(
-        [
-            ("kind", pa.string()),
-            ("src", pa.int64()),
-            ("dst", pa.int64()),
-            ("iv", pa.int64()),
-            ("local", pa.int64()),
-            ("first_run", pa.bool_()),
-            ("bk", pa.string()),
-        ]
-    )
-
-    def block_scan(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _schema.empty_table()
+    def scan(batch: pa.Table):
         n = batch.num_rows
         src = np.asarray(batch.column("src"), dtype=np.int64)
-        iv = np.asarray(batch.column("iv"), dtype=np.int64)
-        dst = np.asarray(batch.column("dst"), dtype=np.int64)
-        assert src[0] >= 0 and iv[0] >= 0 and dst[0] >= 0
-        bk = "%020d:%020d:%020d" % (src[0], iv[0], dst[0])
         new_grp = np.ones(n, dtype=bool)
         new_grp[1:] = src[1:] != src[:-1]
         gs = np.maximum.accumulate(
@@ -661,76 +638,30 @@ def knn_graph_dataset(
         )
         local = np.arange(n, dtype=np.int64) - gs  # 0-based row number
         first_run = src == src[0]
-        rows = pa.table(
-            {
-                "kind": pa.array(["r"] * n),
-                "src": batch.column("src"),
-                "dst": batch.column("dst"),
-                "iv": batch.column("iv"),
-                "local": pa.array(local),
-                "first_run": pa.array(first_run),
-                "bk": pa.array([bk] * n),
-            }
-        )
-        # summary carries (first_src, first_run_rows, last_src,
-        # last_run_rows) packed into (src, local) / (dst, iv)
-        summary = pa.table(
-            {
-                "kind": pa.array(["s"]),
-                "src": pa.array([int(src[0])], pa.int64()),
-                "dst": pa.array([int(src[-1])], pa.int64()),
-                "iv": pa.array([int(n - gs[-1])], pa.int64()),  # last-run rows
-                "local": pa.array([int(first_run.sum())], pa.int64()),
-                "first_run": pa.array([False]),
-                "bk": pa.array([bk]),
-            }
-        )
-        return pa.concat_tables([rows, summary])
-
-    marked = sorted_ds.map_batches(
-        block_scan, batch_format="pyarrow", batch_size=None
-    ).materialize()
+        # summary: (first_src, first_run_rows, last_src, last_run_rows)
+        summary = (int(src[0]), int(first_run.sum()), int(src[-1]), int(n - gs[-1]))
+        return (batch, local, first_run), summary
 
     # O(#blocks) carry scan: offset for each block's FIRST src run
-    summ = marked.filter(expr="kind == 's'").to_pandas().sort_values("bk")
-    off: dict[str, int] = {}
-    carry_src: int | None = None
-    carry_n = 0
-    for r in summ.itertuples(index=False):
-        f_src, f_n = int(r.src), int(r.local)
-        l_src, l_n = int(r.dst), int(r.iv)
-        o = carry_n if f_src == carry_src else 0
-        if o:
-            off[r.bk] = o
-        if l_src == f_src:  # the whole block is one src run
-            carry_src, carry_n = l_src, o + f_n
-        else:
-            carry_src, carry_n = l_src, l_n
+    def stitch(summaries: list) -> list[int]:
+        offs = []
+        carry_src: int | None = None
+        carry_n = 0
+        for f_src, f_n, l_src, l_n in summaries:
+            o = carry_n if f_src == carry_src else 0
+            offs.append(o)
+            if l_src == f_src:  # the whole block is one src run
+                carry_src, carry_n = l_src, o + f_n
+            else:
+                carry_src, carry_n = l_src, l_n
+        return offs
 
-    off_ref = ray.put(off)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch.column("kind"), pa.scalar("r")))
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "src": pa.array([], pa.int64()),
-                    "dst": pa.array([], pa.int64()),
-                    "rank": pa.array([], pa.int64()),
-                    "sim_ppm": pa.array([], pa.int64()),
-                    "cosine_sim": pa.array([], pa.float64()),
-                }
-            )
-        omap = ray.get(off_ref)
-        local = np.asarray(t.column("local"), dtype=np.int64)
-        if omap:
-            bks = t.column("bk").to_pylist()
-            fr = np.asarray(t.column("first_run"))
-            add = np.array(
-                [omap.get(b, 0) if f else 0 for b, f in zip(bks, fr)],
-                dtype=np.int64,
-            )
-            local = local + add
+    def finish(part, off) -> pa.Table:
+        if part is None:
+            return _KNN_GRAPH_SCHEMA.empty_table()
+        t, local, first_run = part
+        if off:
+            local = local + np.where(first_run, off, 0)
         keep = local < k
         t = t.filter(pa.array(keep))
         rank = local[keep]
@@ -745,7 +676,24 @@ def knn_graph_dataset(
             }
         )
 
-    return marked.map_batches(finish, batch_format="pyarrow", batch_size=None)
+    return sorted_run_scan(
+        cands.map_batches(inv, batch_format="pyarrow"),
+        ["src", "iv", "dst"],
+        scan,
+        stitch,
+        finish,
+    )
+
+
+_KNN_GRAPH_SCHEMA = pa.schema(
+    [
+        ("src", pa.int64()),
+        ("dst", pa.int64()),
+        ("rank", pa.int64()),
+        ("sim_ppm", pa.int64()),
+        ("cosine_sim", pa.float64()),
+    ]
+)
 
 
 def knn_graph(sf_dir: str, k: int = 5) -> Dataset:

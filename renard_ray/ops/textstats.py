@@ -20,6 +20,7 @@ from ray.data import Dataset
 
 from renard_ray.ops.hashagg import hash_aggregate as _hagg_auto
 from renard_ray.ops.hashagg import hash_join
+from renard_ray.ops.runscan import sorted_run_scan
 
 _WS_RE = re.compile(r"\s+")
 _WORD_RE = re.compile(r"[a-zA-Z']+|[0-9]+|[^\sa-zA-Z0-9']")
@@ -795,8 +796,8 @@ def domain_cap(sf_dir: str, cap: int = 10) -> Dataset:
     under retries and partitioning (same md5-priority recipe as the
     train/val split and the reservoir samples).
 
-    Plan (sorted-run row number — no per-group map_groups at any
-    domain count): ONE pass derives the packed sort key
+    Plan (``sorted_run_scan`` row number — no per-group map_groups at
+    any domain count): ONE pass derives the packed sort key
     ``source\\x1f md5(doc_id)\\x1f doc_id``; ONE global sort on it;
     each block assigns vectorized per-source row numbers; only the
     single straddling source run per block needs the O(#blocks)
@@ -823,24 +824,7 @@ def domain_cap(sf_dir: str, cap: int = 10) -> Dataset:
             }
         )
 
-    sorted_ds = (
-        ds.map_batches(derive, batch_format="pyarrow").sort("sk").materialize()
-    )
-
-    _schema = pa.schema(
-        [
-            ("kind", pa.string()),
-            ("source", pa.string()),
-            ("doc_id", pa.int64()),
-            ("local", pa.int64()),
-            ("first_run", pa.bool_()),
-            ("bk", pa.string()),
-        ]
-    )
-
-    def block_scan(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _schema.empty_table()
+    def scan(batch: pa.Table):
         n = batch.num_rows
         src = np.asarray(batch.column("source"), dtype=object)
         new_grp = np.ones(n, dtype=bool)
@@ -850,79 +834,25 @@ def domain_cap(sf_dir: str, cap: int = 10) -> Dataset:
         )
         local = np.arange(n, dtype=np.int64) - gs
         first_run = src == src[0]
-        bk = batch.column("sk")[0].as_py()
-        rows = pa.table(
-            {
-                "kind": pa.array(["r"] * n),
-                "source": batch.column("source"),
-                "doc_id": batch.column("doc_id"),
-                "local": pa.array(local),
-                "first_run": pa.array(first_run),
-                "bk": pa.array([bk] * n),
-            }
-        )
-        summary = pa.table(
-            {
-                "kind": pa.array(["s"]),
-                "source": pa.array([str(src[0])]),
-                # 2-row summary per block: the 's' row packs
-                # (first source, first-run rows -> doc_id,
-                #  last-run rows -> local); the 't' row carries the
-                # last source's NAME (string, so it can't ride an
-                # int column of the 's' row)
-                "doc_id": pa.array([int(first_run.sum())], pa.int64()),
-                "local": pa.array([int(n - gs[-1])], pa.int64()),
-                "first_run": pa.array([False]),
-                "bk": pa.array([bk]),
-            }
-        )
-        last = pa.table(
-            {
-                "kind": pa.array(["t"]),
-                "source": pa.array([str(src[-1])]),
-                "doc_id": pa.array([0], pa.int64()),
-                "local": pa.array([0], pa.int64()),
-                "first_run": pa.array([False]),
-                "bk": pa.array([bk]),
-            }
-        )
-        return pa.concat_tables([rows, summary, last])
+        # (first source, first-run rows, last source, last-run rows)
+        summary = (str(src[0]), int(first_run.sum()), str(src[-1]), int(n - gs[-1]))
+        return (batch, local, first_run), summary
 
-    marked = sorted_ds.map_batches(
-        block_scan, batch_format="pyarrow", batch_size=None
-    ).materialize()
+    def stitch(summaries: list) -> list[int]:
+        offs = []
+        carry_src: str | None = None
+        carry_n = 0
+        for f_src, f_n, l_src, l_n in summaries:
+            o = carry_n if f_src == carry_src else 0
+            offs.append(o)
+            if l_src == f_src:
+                carry_src, carry_n = l_src, o + f_n
+            else:
+                carry_src, carry_n = l_src, l_n
+        return offs
 
-    summ = (
-        marked.filter(expr="kind == 's' or kind == 't'")
-        .to_pandas()
-        .sort_values(["bk", "kind"])
-    )
-    off: dict[str, int] = {}
-    carry_src: str | None = None
-    carry_n = 0
-    # rows alternate (s, t) per block in bk order
-    by_bk: dict[str, dict] = {}
-    for r in summ.itertuples(index=False):
-        d = by_bk.setdefault(r.bk, {})
-        if r.kind == "s":
-            d["f_src"], d["f_n"], d["l_n"] = r.source, int(r.doc_id), int(r.local)
-        else:
-            d["l_src"] = r.source
-    for bk in sorted(by_bk):
-        d = by_bk[bk]
-        o = carry_n if d["f_src"] == carry_src else 0
-        if o:
-            off[bk] = o
-        if d["l_src"] == d["f_src"]:
-            carry_src, carry_n = d["l_src"], o + d["f_n"]
-        else:
-            carry_src, carry_n = d["l_src"], d["l_n"]
-
-    off_ref = ray.put(off)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch.column("kind"), pa.scalar("r")))
-        if t.num_rows == 0:
+    def finish(part, off) -> pa.Table:
+        if part is None:
             return pa.table(
                 {
                     "source": pa.array([], pa.string()),
@@ -930,15 +860,9 @@ def domain_cap(sf_dir: str, cap: int = 10) -> Dataset:
                     "rk": pa.array([], pa.int64()),
                 }
             )
-        omap = ray.get(off_ref)
-        local = np.asarray(t.column("local"), dtype=np.int64)
-        if omap:
-            bks = t.column("bk").to_pylist()
-            fr = np.asarray(t.column("first_run"))
-            local = local + np.array(
-                [omap.get(b, 0) if f else 0 for b, f in zip(bks, fr)],
-                dtype=np.int64,
-            )
+        t, local, first_run = part
+        if off:
+            local = local + np.where(first_run, off, 0)
         keep = local < cap
         t = t.filter(pa.array(keep))
         return pa.table(
@@ -949,9 +873,11 @@ def domain_cap(sf_dir: str, cap: int = 10) -> Dataset:
             }
         )
 
-    return marked.map_batches(
-        finish, batch_format="pyarrow", batch_size=None
-    ).sort(["source", "rk"])
+    kept = sorted_run_scan(
+        ds.map_batches(derive, batch_format="pyarrow"), "sk", scan, stitch, finish
+    )
+    # a sort of no rows would lose the columns
+    return kept.sort(["source", "rk"]) if kept.count() else kept
 
 
 def zipf_spectrum(sf_dir: str) -> Dataset:
@@ -1182,13 +1108,11 @@ def global_row_number(sf_dir: str) -> "Dataset | pa.Table":
     behind stable shard assignment, curriculum ordering (longest-first
     packing) and reproducible id minting.
 
-    Shape (the house sorted-run + O(#blocks) carry): ONE global sort,
-    materialized so both passes see identical blocks; pass 1 reduces
-    each block to (head-key, rows); the driver scans the #blocks
-    summaries in head-key order to hand each block its global offset;
-    pass 2 re-reads the SAME blocks and adds offset + local index —
-    nothing corpus-sized ever reaches the driver.  Head keys are
-    unique because doc_id is unique within the sort key."""
+    Shape (``sorted_run_scan``, ``ops/runscan.py``): ONE global sort;
+    each block's summary is its row count; the driver scans the
+    #blocks counts in block order to hand each block its global
+    offset; the finish pass adds offset + local index — nothing
+    corpus-sized ever reaches the driver."""
     ds = _read_documents(sf_dir, ["doc_id", "n_chars"])
     out_schema = pa.schema(
         [
@@ -1201,7 +1125,7 @@ def global_row_number(sf_dir: str) -> "Dataset | pa.Table":
         return out_schema.empty_table()
     from renard_ray.ops.relational import _attach_global_rank
 
-    # delegate to the generic two-pass rank primitive (relational.py):
+    # delegate to the generic rank primitive (relational.py):
     # value = n_chars DESC, id = doc_id — it returns the input columns
     # plus rn, which is exactly this op's output shape
     return _attach_global_rank(ds, "n_chars", "doc_id", descending=True)

@@ -15,7 +15,7 @@ Two streaming passes over the ``documents`` table:
    batch-locally — no doc-keyed shuffle, no per-doc ``map_groups``.
    Past the broadcast budget (the realistic regime at web scale) the
    fallback joins df onto the term rows and resolves per-doc top-k
-   with the sorted-run + boundary stitch: one sort, block-local top-k
+   with ``sorted_run_scan`` (``ops/runscan.py``): one sort, block-local top-k
    for interior docs, O(k * #blocks) edge-doc candidates to the
    driver — no per-doc ``map_groups``.
 
@@ -31,12 +31,15 @@ No counterpart in the reference; sibling of ``ops/textstats.py``.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 from ray.data import Dataset
 from ray.data.aggregate import Sum
+
+from .runscan import sorted_run_scan
 
 from .relational import _collect_small
 from .textstats import _WS_RE, _read_documents
@@ -88,12 +91,16 @@ def tfidf_topk(
     k: int = 3,
     *,
     broadcast_limit: int | None = None,
-) -> Dataset:
+) -> "Dataset | pa.Table":
     """Top-k terms per document by ``tf * N / df`` (ties -> term asc):
-    (doc_id, word, tf, df, rank, score)."""
+    (doc_id, word, tf, df, rank, score); an empty table when there
+    are no documents."""
     limit = _DF_LIMIT if broadcast_limit is None else broadcast_limit
     docs = _read_documents(sf_dir, ["doc_id", "text"]).materialize()
     n_docs = docs.count()
+    if n_docs == 0:
+        # the output columns, which no map over empty blocks would build
+        return _empty()
     df_ds = document_frequencies(docs)
 
     df_tab = _collect_small(df_ds, limit)
@@ -142,8 +149,8 @@ def tfidf_topk(
 
     # fallback past the broadcast budget (the realistic regime at web
     # scale — Heaps' law outgrows any broadcast): join df onto the term
-    # rows, then resolve per-doc top-k with the sorted-run + boundary
-    # stitch (one sort; interior docs of a block are complete, only the
+    # rows, then resolve per-doc top-k with ``sorted_run_scan`` (one
+    # sort; interior docs of a block are complete, only the
     # block-EDGE docs' candidate rows — O(k * #blocks) — reach the
     # driver).  No per-doc map_groups.
 
@@ -183,79 +190,56 @@ def tfidf_topk(
             }
         )
 
-    sorted_ds = (
-        joined.map_batches(add_score, batch_format="pyarrow")
-        .sort(["doc_id", "score", "word"], descending=[False, True, False])
-        .materialize()
-    )
-
-    def block_topk(df_blk):
-        if df_blk.empty:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "word": pa.array([], pa.string()),
-                    "tf": pa.array([], pa.int64()),
-                    "df": pa.array([], pa.int64()),
-                    "rank": pa.array([], pa.int64()),
-                    "score": pa.array([], pa.float64()),
-                    "kind": pa.array([], pa.string()),
-                }
-            )
+    def scan(t: pa.Table):
+        df_blk = t.to_pandas()
         pos = df_blk.groupby("doc_id", sort=False).cumcount()
         top = df_blk[pos < k].copy()
         top["rank"] = pos[pos < k] + 1
-        first_d = df_blk["doc_id"].iloc[0]
-        last_d = df_blk["doc_id"].iloc[-1]
-        edge = top["doc_id"].isin([first_d, last_d])
-        top["kind"] = np.where(edge, "p", "f")
-        return pa.table(
-            {
-                "doc_id": pa.array(top["doc_id"].astype("int64"), pa.int64()),
-                "word": pa.array(top["word"], pa.string()),
-                "tf": pa.array(top["tf"].astype("int64"), pa.int64()),
-                "df": pa.array(top["df"].astype("int64"), pa.int64()),
-                "rank": pa.array(top["rank"].astype("int64"), pa.int64()),
-                "score": pa.array(top["score"].astype("float64"), pa.float64()),
-            }
-        ).append_column("kind", pa.array(top["kind"], pa.string()))
+        edge = top["doc_id"].isin([df_blk["doc_id"].iloc[0], df_blk["doc_id"].iloc[-1]])
+        # interior docs are complete; the edge docs' candidates (at
+        # most 2k rows) are the summary
+        return _rows(top[~edge]), top[edge]
 
-    marked = sorted_ds.map_batches(
-        block_topk, batch_format="pandas", batch_size=None
-    ).materialize()
-
-    final = marked.filter(expr="kind == 'f'").map_batches(
-        lambda b: _round_score(b.drop_columns(["kind"])),
-        batch_format="pyarrow",
-    )
-
-    # O(k * #blocks) edge-doc candidates; the within-doc order (score
-    # desc, word asc) is reconstructible from the values, so no block
-    # key is needed
-    pend = marked.filter(expr="kind == 'p'").to_pandas()
-    if len(pend):
-        pend = pend.sort_values(
-            ["doc_id", "score", "word"], ascending=[True, False, True]
-        )
+    # O(k * #blocks) edge-doc candidates, in block order and so in
+    # (doc_id, score desc, word) order.  Each edge doc's resolved rows
+    # ride to the first block holding it.
+    def stitch(edges: list) -> list:
+        for i, e in enumerate(edges):
+            e["blk"] = i
+        pend = pd.concat(edges, ignore_index=True)
         pos = pend.groupby("doc_id", sort=False).cumcount()
         pend = pend[pos < k].copy()
         pend["rank"] = (pos[pos < k] + 1).astype("int64")
-        resolved = ray.data.from_arrow(
-            _round_score(
-                pa.table(
-                    {
-                        "doc_id": pa.array(pend["doc_id"].astype("int64")),
-                        "word": pa.array(pend["word"], pa.string()),
-                        "tf": pa.array(pend["tf"].astype("int64")),
-                        "df": pa.array(pend["df"].astype("int64")),
-                        "rank": pa.array(pend["rank"]),
-                        "score": pa.array(pend["score"].astype("float64")),
-                    }
-                )
-            )
-        )
-        return final.union(resolved)
-    return final
+        home = pend.groupby("doc_id")["blk"].transform("min")
+        return [_rows(pend[home == i]) for i in range(len(edges))]
+
+    def finish(part, resolved) -> pa.Table:
+        if part is None:
+            return _empty()
+        return _round_score(pa.concat_tables([part, resolved]))
+
+    return sorted_run_scan(
+        joined.map_batches(add_score, batch_format="pyarrow"),
+        ["doc_id", "score", "word"],
+        scan,
+        stitch,
+        finish,
+        descending=[False, True, False],
+    )
+
+
+def _rows(top) -> pa.Table:
+    """The output columns of a pandas frame of ranked term rows."""
+    return pa.table(
+        {
+            "doc_id": pa.array(top["doc_id"].astype("int64"), pa.int64()),
+            "word": pa.array(top["word"], pa.string()),
+            "tf": pa.array(top["tf"].astype("int64"), pa.int64()),
+            "df": pa.array(top["df"].astype("int64"), pa.int64()),
+            "rank": pa.array(top["rank"].astype("int64"), pa.int64()),
+            "score": pa.array(top["score"].astype("float64"), pa.float64()),
+        }
+    )
 
 
 def _round_score(batch: pa.Table) -> pa.Table:

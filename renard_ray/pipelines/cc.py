@@ -110,7 +110,8 @@ def _star_round(edges: Dataset, large: bool) -> Dataset:
             }
         )
 
-    both = edges.map_batches(expand, batch_format="pyarrow")
+    # materialized once: the min aggregate and the join both read it
+    both = edges.map_batches(expand, batch_format="pyarrow").materialize()
 
     def with_m(batch: pa.Table) -> pa.Table:
         # m(u) = min(N(u) ∪ {u})

@@ -1975,7 +1975,8 @@ def test_orders_rank_in_customer_multiblock(ray_session, monkeypatch):
     """Per-group DENSE_RANK: with the sorted input forced into many
     blocks (customers and TIED prices straddling block boundaries) the
     ranks equal a pandas dense-rank replica — on the real sf0.001
-    orders table and on a synthetic heavy-tie corpus."""
+    orders table and on a synthetic heavy-tie corpus, at positive and
+    at negative custkeys."""
     import os
 
     import numpy as np
@@ -2022,6 +2023,15 @@ def test_orders_rank_in_customer_multiblock(ray_session, monkeypatch):
         return _ray.data.from_arrow(pa.Table.from_pandas(raw)).repartition(7)
 
     check(synth_read, raw)
+
+    # the same corpus at negative custkeys
+    neg = raw.assign(o_custkey=raw["o_custkey"] - 6)
+    check(
+        lambda sfd, table, cols=None: _ray.data.from_arrow(
+            pa.Table.from_pandas(neg)
+        ).repartition(7),
+        neg,
+    )
 
     sf = "/root/testdata/sf0.001"
     if os.path.isdir(sf):
@@ -10370,3 +10380,114 @@ def test_no_ray_data_join_left(ray_session, monkeypatch):
         {"subj": "a", "obj": "d", "status": "removed", "delta_c": -50},
         {"subj": "a", "obj": "e", "status": "added", "delta_c": 400},
     ]
+
+
+def test_sorted_run_scan_matches_pandas(ray_session, executions):
+    """``sorted_run_scan``: a per-key running sum and a per-key dense
+    rank, carried across blocks by the stitch, equal pandas' for int
+    keys (negative ones too) and string keys, ascending and
+    descending, with duplicate keys straddling the block boundaries a
+    ``repartition`` forces, empty blocks, and 0-row input, which still
+    yields ``finish``'s columns.  Each call starts exactly one Ray Data
+    execution: the sort."""
+    import pyarrow as pa
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    import ray
+
+    from renard_ray.ops.runscan import sorted_run_scan
+
+    key_kinds = {
+        "int": (pa.int64(), st.integers(-3, 3)),
+        "str": (pa.string(), st.sampled_from(["a", "bb", "c", "dd"])),
+    }
+
+    @st.composite
+    def cases(draw):
+        ktype, keys = key_kinds[draw(st.sampled_from(sorted(key_kinds)))]
+        blocks = []
+        for _ in range(draw(st.integers(1, 4))):
+            n = draw(st.integers(0, 12))
+            blocks.append(
+                pa.table(
+                    {
+                        "k": pa.array(draw(st.lists(keys, min_size=n, max_size=n)), ktype),
+                        "v": pa.array(
+                            draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)),
+                            pa.int64(),
+                        ),
+                    }
+                )
+            )
+        return ktype, blocks, draw(st.integers(1, 6)), draw(st.booleans())
+
+    def scan(block):
+        df = block.to_pandas()
+        first, last = df["k"].iloc[0], df["k"].iloc[-1]
+        local_rank = df["k"].ne(df["k"].shift()).cumsum()
+        run = df.groupby(local_rank, sort=False)["v"].cumsum()
+        # (first key, last key, the last key's sum here, distinct keys)
+        summary = (first, last, int(df["v"][df["k"] == last].sum()), int(local_rank.iloc[-1]))
+        part = (block, run.to_numpy(), local_rank.to_numpy(), (df["k"] == first).to_numpy())
+        return part, summary
+
+    def stitch(summaries):
+        carries = []
+        prev_key = None
+        run = 0  # running sum of prev_key over all earlier blocks
+        ranks = 0  # distinct keys in all earlier blocks
+        for first, last, last_sum, n_distinct in summaries:
+            cont = first == prev_key
+            carries.append((run if cont else 0, ranks - 1 if cont else ranks))
+            if first == last:
+                run = (run if cont else 0) + last_sum
+            else:
+                run = last_sum
+            ranks += n_distinct - (1 if cont else 0)
+            prev_key = last
+        return carries
+
+    @settings(max_examples=25, deadline=None)
+    @given(cases())
+    def check(case):
+        ktype, blocks, nparts, descending = case
+        out_schema = pa.schema(
+            [("k", ktype), ("v", pa.int64()), ("run", pa.int64()), ("rank", pa.int64())]
+        )
+
+        def finish(part, carry):
+            if part is None:
+                return out_schema.empty_table()
+            block, run, local_rank, first_run = part
+            run_in, rank_off = carry
+            return pa.table(
+                {
+                    "k": block.column("k"),
+                    "v": block.column("v"),
+                    "run": pa.array(run + np.where(first_run, run_in, 0), pa.int64()),
+                    "rank": pa.array(local_rank + rank_off, pa.int64()),
+                },
+                schema=out_schema,
+            )
+
+        ds = ray.data.from_arrow(blocks).repartition(nparts)
+        with executions() as ex:
+            out = sorted_run_scan(ds, ["k", "v"], scan, stitch, finish, descending=descending)
+        assert ex.n == 1
+        got = pa.concat_tables(
+            ray.get([r for b in out.iter_internal_ref_bundles() for r in b.block_refs])
+        )
+        assert got.schema == out_schema
+
+        df = pa.concat_tables(blocks).to_pandas()
+        df = df.sort_values(["k", "v"], ascending=not descending, kind="stable")
+        df["run"] = df.groupby("k", sort=False)["v"].cumsum()
+        df["rank"] = df["k"].rank(method="dense", ascending=not descending).astype("int64")
+        want = df.sort_values(["k", "v", "run"]).reset_index(drop=True)
+        assert (
+            got.to_pandas().sort_values(["k", "v", "run"]).reset_index(drop=True).values.tolist()
+            == want.values.tolist()
+        )
+
+    check()
